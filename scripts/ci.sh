@@ -22,6 +22,12 @@
 #      --variant mrlc` must print byte-identical trees (the problem-variant
 #      interface may not perturb the historical solver), and the
 #      brute-force optimality suite must pass for every variant;
+#   5d. perfbench golden gate: the repository benchmark (perfbench/,
+#      a standalone Release build under .bench_build/perfbench) must
+#      pass its checker tests, and a 2-second run of each workload must
+#      exit 0 with `"failed": 0` on its result line — every IRA tree
+#      matches perfbench/golden/ira_n128.txt and every data-plane run
+#      its golden field and counter digests;
 #   6. service smoke: a real mrlc_serve daemon on a Unix socket, driven
 #      with mrlc_client (release build) — trees must be byte-identical to
 #      the one-shot solver, an injected worker crash and a corrupt payload
@@ -32,8 +38,9 @@
 #      gate — shared CI machines are too noisy to fail on wall clock.
 #
 # Usage: scripts/ci.sh [--release-only|--asan-only|--tsan-only]
-# Runs from any directory; build trees live in build-release/, build-asan/
-# and build-tsan/ next to the sources (all gitignored).
+# Runs from any directory; build trees live in build-release/, build-asan/,
+# build-tsan/ and .bench_build/perfbench/ next to the sources (all
+# gitignored).
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -193,6 +200,32 @@ variant_parity_smoke() {
   echo "ci[$label]: --variant mrlc byte-identical, brute-force optimality clean"
 }
 
+# Benchmark golden gate: short seeded runs of every perfbench workload.
+# The benchmark checks its own outputs (spanning trees, lifetime rows,
+# costs against the golden IRA trees, data-plane result and counter
+# digests against the golden file) and reports the misses as "failed"
+# on the last stdout line while still exiting 0, so the count is parsed.
+perfbench_gate() {
+  echo "=== perfbench golden gate ==="
+  local w line
+  for w in ira_n128 dataplane_grid_n100k service_mix; do
+    if ! line="$(cd "$repo" && python3 perfbench/run.py --workload "$w" \
+        --seed 0 --seconds 2 --trace 0 | tail -n 1)"; then
+      echo "ci: perfbench $w exited non-zero" >&2
+      exit 1
+    fi
+    if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+        "$line"; then
+      echo "ci: perfbench $w: output checks failed: $line" >&2
+      exit 1
+    fi
+  done
+  cmake --build "$repo/.bench_build/perfbench" --target perfbench_checks_test \
+    -j "$jobs"
+  ctest --test-dir "$repo/.bench_build/perfbench" --output-on-failure
+  echo "ci: perfbench checker tests pass, every workload reports failed = 0"
+}
+
 # Service smoke: one daemon, one socket, the whole robustness contract.
 # The service must answer with the *same bytes* as the one-shot anytime
 # solver (`mrlc_solve ira --budget <huge>` — the direct-bound path the
@@ -328,6 +361,7 @@ corrupt_corpus() {
 [[ $run_release -eq 1 ]] && fault_smoke "$repo/build-release" release
 [[ $run_release -eq 1 ]] && engine_parity_smoke "$repo/build-release" release
 [[ $run_release -eq 1 ]] && variant_parity_smoke "$repo/build-release" release
+[[ $run_release -eq 1 ]] && perfbench_gate
 [[ $run_release -eq 1 ]] && service_smoke "$repo/build-release" release
 [[ $run_asan -eq 1 ]] && corrupt_corpus "$repo/build-asan/tools/mrlc_solve" asan
 

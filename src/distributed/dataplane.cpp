@@ -12,10 +12,11 @@ namespace mrlc::dist {
 namespace {
 
 /// The legacy serial round loop, kept as the parity oracle for the
-/// discrete-event engine.  It drives the *same* per-entity handlers and
+/// sharded engine.  It drives the *same* per-entity handlers and
 /// serial-checkpoint methods as `run_des`, in plain ascending-id loops
-/// with no queue, no pool, and no shards — so any divergence between the
-/// two engines is a bug in the event machinery, not in the physics.
+/// over all links and nodes with no pool and no shards — so any
+/// divergence between the two engines is a bug in the sharding (link
+/// ownership, per-shard event lists, windows), not in the physics.
 void run_legacy(engine::SimState& s) {
   const bool oracle = s.options->repair == RepairMode::kOracle;
   const bool estimator = s.estimator_mode();

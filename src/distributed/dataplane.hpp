@@ -41,9 +41,9 @@ enum class RepairMode { kNone, kOracle, kEstimator };
 /// Which engine advances the simulation.  Both are bit-identical given
 /// the same options (the parity tests gate this): `kLegacy` is the
 /// serial round loop kept as the oracle, `kDes` the parallel
-/// discrete-event engine (per-node logical processes on statically
-/// sharded event queues, advanced in bounded windows with a
-/// barrier-computed safe time — see docs/algorithms.md §18).
+/// conservative engine (statically sharded node ranges, each swept in
+/// (round, node) order and advanced in bounded windows separated by
+/// serial checkpoints — see docs/algorithms.md §18).
 enum class DataPlaneEngine { kLegacy, kDes };
 
 struct DataPlaneOptions {

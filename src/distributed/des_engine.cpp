@@ -1,21 +1,9 @@
 #include "distributed/des_engine.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 
 namespace mrlc::dist::engine {
-
-namespace {
-
-struct Shard {
-  EventQueue queue;
-  std::uint64_t popped = 0;
-};
-
-}  // namespace
 
 void run_des(SimState& s) {
   s.parallel_commit = true;
@@ -24,115 +12,74 @@ void run_des(SimState& s) {
   const bool estimator = s.estimator_mode();
 
   // Static assignment: shard i owns the contiguous node range
-  // [n*i/shards, n*(i+1)/shards) and every event of those processes.
-  std::vector<LogicalProcess> lps;
-  lps.reserve(static_cast<std::size_t>(s.n));
-  for (wsn::VertexId v = 0; v < s.n; ++v) lps.emplace_back(v);
-  std::vector<Shard> shard_state(static_cast<std::size_t>(shards));
-  auto shard_lo = [&](int i) {
-    return static_cast<int>(static_cast<long long>(s.n) * i / shards);
-  };
-
-  // Seed each process's first round.  Fused modes wake once per round;
-  // oracle mode splits the round at the repair barrier (churn at slot
-  // offset 0, the transaction at offset 1).
-  std::uint64_t seeded = 0;
-  for (int i = 0; i < shards; ++i) {
-    EventQueue& q = shard_state[static_cast<std::size_t>(i)].queue;
-    const int lo = shard_lo(i);
-    const int hi = shard_lo(i + 1);
-    q.reserve(static_cast<std::size_t>(hi - lo) * (oracle ? 2 : 1));
-    for (int v = lo; v < hi; ++v) {
-      if (oracle) {
-        q.push(Event{0, v, 0, EventKind::kChurnWake});
-        q.push(Event{1, v, 0, EventKind::kTxnWake});
-        seeded += 2;
-      } else {
-        q.push(Event{0, v, 0, EventKind::kNodeRound});
-        seeded += 1;
-      }
-    }
-  }
-
-  // Drains every shard strictly below `horizon` on the pool.  Each pop
-  // reschedules the process's next occurrence one round-span later, so a
-  // queue is never empty and `top()` after the drain is the shard's next
-  // event time — the minimum over shards is the global safe time.
-  SlotTime safe_time = 0;
-  auto drain = [&](SlotTime horizon) {
+  // [n*i/shards, n*(i+1)/shards) and collects its fired events in
+  // `fired_*[i]`.  Each shard runs rounds [0, rounds) of the window, and
+  // within a round its nodes in ascending id: the (time, node) order of
+  // the per-node round events, so no queue is needed.
+  auto sweep = [&](int rounds, auto&& body) {
     default_pool().for_each(shards, [&](int i) {
-      Shard& shard = shard_state[static_cast<std::size_t>(i)];
-      std::vector<LinkEvent>* churn_fired =
-          oracle || estimator ? &s.fired_churn[static_cast<std::size_t>(i)]
-                              : nullptr;
-      std::vector<LinkEvent>* est_fired =
-          estimator ? &s.fired_est[static_cast<std::size_t>(i)] : nullptr;
-      while (shard.queue.top().time < horizon) {
-        const Event event = shard.queue.pop();
-        lps[static_cast<std::size_t>(event.node)].handle(event, s, churn_fired,
-                                                         est_fired);
-        shard.queue.push(Event{event.time + s.round_span, event.node,
-                               event.seq + 1, event.kind});
-        ++shard.popped;
+      const auto lo = static_cast<wsn::VertexId>(
+          static_cast<long long>(s.n) * i / shards);
+      const auto hi = static_cast<wsn::VertexId>(
+          static_cast<long long>(s.n) * (i + 1) / shards);
+      for (int k = 0; k < rounds; ++k) {
+        for (wsn::VertexId v = lo; v < hi; ++v) body(v, k, i);
       }
     });
-    SlotTime next = std::numeric_limits<SlotTime>::max();
-    for (const Shard& shard : shard_state) {
-      next = std::min(next, shard.queue.top().time);
-    }
-    safe_time = next;
+  };
+  auto fired = [](std::vector<std::vector<LinkEvent>>& lists, int i) {
+    return &lists[static_cast<std::size_t>(i)];
   };
 
   // Instruments are advanced once per window (before the flush point), so
-  // in-flight snapshots show live progress; the per-window deltas are
-  // functions of the round count alone, never of the thread count.
+  // in-flight snapshots show live progress.  Each node wakes once per
+  // round (twice under oracle repair: churn, then transaction), and
+  // every wake schedules its successor — so the values are functions of
+  // n and the round count alone, never of the thread count.
   static metrics::Counter& scheduled =
       metrics::counter("dataplane.events_scheduled");
   static metrics::Counter& processed =
       metrics::counter("dataplane.events_processed");
   static metrics::Counter& windows = metrics::counter("des.windows");
-  static metrics::Counter& checkpoint_count = metrics::counter("des.checkpoints");
+  static metrics::Counter& checkpoints = metrics::counter("des.checkpoints");
   metrics::Gauge& window_gauge = metrics::gauge("des.window_rounds");
   metrics::Gauge& safe_gauge = metrics::gauge("des.safe_time");
   window_gauge.set(static_cast<double>(s.window_rounds));
-  // Every pop schedules the successor, so scheduled = seeds + pops.
-  scheduled.add(static_cast<long long>(seeded));
-  std::uint64_t reported_popped = 0;
+  const long long wakes_per_round = static_cast<long long>(s.n) * (oracle ? 2 : 1);
+  scheduled.add(wakes_per_round);  // the seeds of round 0
 
-  std::uint64_t checkpoints = 0;
-  std::uint64_t reported_checkpoints = 0;
   while (!s.stopped && s.completed_rounds < s.options->rounds) {
     const int planned = s.plan_window();
     if (planned == 0) break;
     const int start = s.window_start;
     if (oracle) {
       // planned == 1: split the round at the repair barrier.
-      const SlotTime base =
-          static_cast<SlotTime>(start) * s.round_span;
-      drain(base + 1);
+      sweep(1, [&](wsn::VertexId v, int, int i) {
+        s.churn_owned(v, fired(s.fired_churn, i));
+      });
       s.apply_oracle_events();
-      ++checkpoints;
-      drain(base + s.round_span);
+      sweep(1, [&](wsn::VertexId v, int k, int) {
+        s.transact_node(v, k, nullptr);
+      });
     } else {
-      drain(static_cast<SlotTime>(start + planned) * s.round_span);
+      sweep(planned, [&](wsn::VertexId v, int k, int i) {
+        s.node_round(v, k, estimator ? fired(s.fired_churn, i) : nullptr,
+                     estimator ? fired(s.fired_est, i) : nullptr);
+      });
       if (estimator) s.apply_pending_marks(start);
     }
     s.commit_window(planned);
-    if (estimator) {
-      s.apply_estimator_events(start);
-      ++checkpoints;
-    }
-    ++checkpoints;  // the commit itself
+    if (estimator) s.apply_estimator_events(start);
 
-    std::uint64_t popped = 0;
-    for (const Shard& shard : shard_state) popped += shard.popped;
-    scheduled.add(static_cast<long long>(popped - reported_popped));
-    processed.add(static_cast<long long>(popped - reported_popped));
-    reported_popped = popped;
+    const long long wakes = wakes_per_round * planned;
+    scheduled.add(wakes);
+    processed.add(wakes);
     windows.add(1);
-    checkpoint_count.add(static_cast<long long>(checkpoints - reported_checkpoints));
-    reported_checkpoints = checkpoints;
-    safe_gauge.set(static_cast<double>(safe_time));
+    // The commit, plus the repair checkpoint in either repair mode.
+    checkpoints.add(oracle || estimator ? 2 : 1);
+    // Every node's next wake is at the next round's first slot.
+    safe_gauge.set(static_cast<double>(
+        static_cast<SlotTime>(start + planned) * s.round_span));
 
     s.end_window(planned);
   }

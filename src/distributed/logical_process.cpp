@@ -226,6 +226,29 @@ void SimState::probe_link(wsn::EdgeId e, std::vector<LinkEvent>* fired) {
   }
 }
 
+void SimState::churn_owned(wsn::VertexId v, std::vector<LinkEvent>* fired) {
+  for (int j = owned_offsets[v]; j < owned_offsets[v + 1]; ++j) {
+    churn_link(owned_links[static_cast<std::size_t>(j)], fired);
+  }
+}
+
+void SimState::probe_owned(wsn::VertexId v, std::vector<LinkEvent>* fired) {
+  for (int j = owned_offsets[v]; j < owned_offsets[v + 1]; ++j) {
+    const wsn::EdgeId e = owned_links[static_cast<std::size_t>(j)];
+    if (on_tree[static_cast<std::size_t>(e)]) continue;
+    if (!net.topology().is_alive(e)) continue;
+    probe_link(e, fired);
+  }
+}
+
+void SimState::node_round(wsn::VertexId v, int k,
+                          std::vector<LinkEvent>* fired_churn,
+                          std::vector<LinkEvent>* fired_est) {
+  churn_owned(v, fired_churn);
+  transact_node(v, k, fired_est);
+  if (probing()) probe_owned(v, fired_est);
+}
+
 std::vector<LinkEvent> SimState::drain_sorted(
     std::vector<std::vector<LinkEvent>>& fired) {
   std::size_t total = 0;
@@ -484,43 +507,6 @@ void SimState::finalize() {
   repairs.add(out.repairs_applied);
   detections.add(out.detections);
   false_positives.add(out.false_positive_events);
-}
-
-void LogicalProcess::churn_owned(SimState& s, std::vector<LinkEvent>* fired) {
-  for (int j = s.owned_offsets[node_]; j < s.owned_offsets[node_ + 1]; ++j) {
-    s.churn_link(s.owned_links[static_cast<std::size_t>(j)], fired);
-  }
-}
-
-void LogicalProcess::probe_owned(SimState& s, std::vector<LinkEvent>* fired) {
-  for (int j = s.owned_offsets[node_]; j < s.owned_offsets[node_ + 1]; ++j) {
-    const wsn::EdgeId e = s.owned_links[static_cast<std::size_t>(j)];
-    if (s.on_tree[static_cast<std::size_t>(e)]) continue;
-    if (!s.net.topology().is_alive(e)) continue;
-    s.probe_link(e, fired);
-  }
-}
-
-void LogicalProcess::handle(const Event& event, SimState& s,
-                            std::vector<LinkEvent>* fired_churn,
-                            std::vector<LinkEvent>* fired_est) {
-  const int k = static_cast<int>(event.seq) - s.window_start;
-  switch (event.kind) {
-    case EventKind::kNodeRound:
-      // Program order within the process mirrors the legacy round: churn
-      // the owned links (the node's parent edge among them), then
-      // transact over the freshly re-anchored channel, then probe.
-      churn_owned(s, s.estimator_mode() ? fired_churn : nullptr);
-      s.transact_node(node_, k, fired_est);
-      if (s.probing()) probe_owned(s, fired_est);
-      break;
-    case EventKind::kChurnWake:
-      churn_owned(s, fired_churn);
-      break;
-    case EventKind::kTxnWake:
-      s.transact_node(node_, k, nullptr);
-      break;
-  }
 }
 
 }  // namespace mrlc::dist::engine

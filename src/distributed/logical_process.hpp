@@ -1,28 +1,28 @@
 #pragma once
 
 /// \file logical_process.hpp
-/// \brief Per-node logical processes and the shared simulation state of
-/// the data-plane engines.
+/// \brief Shared simulation state and per-node round bodies of the
+/// data-plane engines.
 ///
-/// The discrete-event refactor splits `run_dataplane` into three layers:
+/// `run_dataplane` is split into two layers:
 ///
 /// * `SimState` — everything both engines share: the true and believed
 ///   networks, churn/channel/estimator/maintainer objects, per-entity
 ///   forked RNG streams, cached tree structure (parents, children CSR,
 ///   BFS order, the on-tree mask, link ownership), the per-window
-///   transaction outcome slots, and the result accumulators.  All
-///   *merge* work (readings, energy, counters, repair events) lives here
-///   as serial-checkpoint methods so the legacy round loop and the DES
-///   engine execute byte-identical commit code.
-/// * `LogicalProcess` — one per node.  Owns the node's ARQ transaction,
-///   the churn + channel re-derivation of its *owned* links (on-tree
-///   link -> owned by the child endpoint; off-tree link -> owned by
-///   min(u, v)), and in estimator mode the probe beacons of its owned
-///   idle links.  Every random draw comes from a stream forked per
-///   entity (node or link), so results do not depend on which worker
-///   runs which process.
-/// * the drivers — `des_engine.hpp` (parallel, event-queue scheduled)
-///   and the legacy serial loop in `dataplane.cpp`.
+///   transaction outcome slots, and the result accumulators.  It also
+///   holds the per-node round bodies: node v's *logical process* is the
+///   ARQ transaction of v, the churn + channel re-derivation of the
+///   links v *owns* (on-tree link -> owned by the child endpoint;
+///   off-tree link -> owned by min(u, v)), and in estimator mode the
+///   probe beacons of v's owned idle links.  Every random draw comes
+///   from a stream forked per entity (node or link), so results do not
+///   depend on which worker runs which node.  All *merge* work
+///   (readings, energy, counters, repair events) lives here as
+///   serial-checkpoint methods, so both engines execute byte-identical
+///   commit code.
+/// * the drivers — `des_engine.hpp` (parallel sharded (round, node)
+///   sweep) and the legacy serial loop in `dataplane.cpp`.
 ///
 /// Determinism argument (see docs/algorithms.md §18): each link and each
 /// node is touched by exactly one logical process per round, every draw
@@ -36,9 +36,12 @@
 
 #include "common/rng.hpp"
 #include "distributed/dataplane.hpp"
-#include "distributed/event_queue.hpp"
 
 namespace mrlc::dist::engine {
+
+/// Virtual time in ARQ slots, the unit `radio::arq` charges for attempts
+/// and backoff gaps.
+using SlotTime = std::uint64_t;
 
 /// Outcome slot of one (node, round-in-window) ARQ transaction, written
 /// by exactly one logical process and read at the window's serial
@@ -176,6 +179,19 @@ struct SimState {
   /// Probes one idle link (estimator mode) from its own stream.
   void probe_link(wsn::EdgeId e, std::vector<LinkEvent>* fired);
 
+  // --- per-node round bodies (parallel-safe for distinct nodes) ----
+  /// Churns every link node `v` owns, in ascending link id.
+  void churn_owned(wsn::VertexId v, std::vector<LinkEvent>* fired);
+  /// Probes node `v`'s owned links that are idle and alive.
+  void probe_owned(wsn::VertexId v, std::vector<LinkEvent>* fired);
+  /// Node `v`'s whole round `k` of the window in the fused modes:
+  /// churn its owned links, transact over the freshly re-anchored
+  /// channel, then probe — the program order of the legacy round.
+  /// Churn events are collected in `fired_churn` (estimator mode's
+  /// pending marks), estimator events in `fired_est`; either may be null.
+  void node_round(wsn::VertexId v, int k, std::vector<LinkEvent>* fired_churn,
+                  std::vector<LinkEvent>* fired_est);
+
   // --- serial checkpoint pieces (identical code in both engines) ---
   /// Drains the per-shard lists into one vector sorted by link id.
   std::vector<LinkEvent> drain_sorted(std::vector<std::vector<LinkEvent>>& fired);
@@ -198,35 +214,12 @@ struct SimState {
   void finalize();
 };
 
-/// One logical process per node: dispatches the node's events against
-/// the shared state.  `fired_churn`/`fired_est` are the owning shard's
-/// event lists.
-class LogicalProcess {
- public:
-  LogicalProcess() = default;
-  explicit LogicalProcess(std::int32_t node) : node_(node) {}
-
-  std::int32_t node() const noexcept { return node_; }
-
-  /// Handles one event.  `kNodeRound` fuses churn -> transaction ->
-  /// probes for the round `event.seq`; the oracle-mode pair splits the
-  /// same work at the repair barrier.
-  void handle(const Event& event, SimState& s,
-              std::vector<LinkEvent>* fired_churn,
-              std::vector<LinkEvent>* fired_est);
-
- private:
-  void churn_owned(SimState& s, std::vector<LinkEvent>* fired);
-  void probe_owned(SimState& s, std::vector<LinkEvent>* fired);
-
-  std::int32_t node_ = 0;
-};
-
 /// Upper bound on the slots one round can occupy: every transaction runs
 /// at most `max_attempts` attempt slots plus the capped backoff gaps,
 /// and the two oracle-mode phases need one offset each.  Transmission
-/// delay is what gives the conservative engine its lookahead: an event
-/// at round r cannot affect any state read before slot (r+1)*span.
+/// delay is what gives the conservative engine its lookahead: nothing a
+/// node does in round r can affect any state read before slot
+/// (r+1)*span.
 SlotTime slots_per_round(const radio::ArqPolicy& policy);
 
 }  // namespace mrlc::dist::engine

@@ -25,7 +25,7 @@ void SensorReplica::apply_changes(const UpdateRecord& record) {
   const bool full = std::none_of(next.begin() + 1, next.end(),
                                  [](wsn::VertexId p) { return p == -1; });
   if (full) {
-    prufer::validate_parent_array(next);
+    // `encode` validates the tree (in-range parents, no cycle).
     code_ = node_count_ >= 2 ? prufer::encode(next) : prufer::Code{};
   } else {
     prufer::validate_forest(next);

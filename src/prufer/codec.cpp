@@ -4,6 +4,27 @@
 
 namespace mrlc::prufer {
 
+namespace {
+
+/// Throws unless every parent walk ends at a -1 (entries must already be
+/// in range).  Each walk stamps the nodes it passes with its start label
+/// and stops at the first node an earlier walk stamped — that walk
+/// reached a -1, so this one does too — making the check O(n) in total.
+/// Meeting its own stamp again means the walk went round a cycle.
+void require_acyclic(const ParentArray& parent) {
+  std::vector<int> stamp(parent.size(), -1);
+  for (int v = 0; v < static_cast<int>(parent.size()); ++v) {
+    for (int w = v; w != -1; w = parent[static_cast<std::size_t>(w)]) {
+      int& mark = stamp[static_cast<std::size_t>(w)];
+      MRLC_REQUIRE(mark != v, "parent array contains a cycle");
+      if (mark >= 0) break;
+      mark = v;
+    }
+  }
+}
+
+}  // namespace
+
 void validate_parent_array(const ParentArray& parent) {
   const int n = static_cast<int>(parent.size());
   MRLC_REQUIRE(n >= 1, "tree needs at least one node");
@@ -14,13 +35,7 @@ void validate_parent_array(const ParentArray& parent) {
                  "non-root parent out of range");
     MRLC_REQUIRE(parent[static_cast<std::size_t>(v)] != v, "node cannot parent itself");
   }
-  // Acyclicity: every walk to the root must terminate within n steps.
-  for (int v = 0; v < n; ++v) {
-    int steps = 0;
-    for (int w = v; w != -1; w = parent[static_cast<std::size_t>(w)]) {
-      MRLC_REQUIRE(++steps <= n, "parent array contains a cycle");
-    }
-  }
+  require_acyclic(parent);
 }
 
 void validate_forest(const ParentArray& parent) {
@@ -32,12 +47,7 @@ void validate_forest(const ParentArray& parent) {
     MRLC_REQUIRE(p >= -1 && p < n, "parent out of range");
     MRLC_REQUIRE(p != v, "node cannot parent itself");
   }
-  for (int v = 0; v < n; ++v) {
-    int steps = 0;
-    for (int w = v; w != -1; w = parent[static_cast<std::size_t>(w)]) {
-      MRLC_REQUIRE(++steps <= n, "parent array contains a cycle");
-    }
-  }
+  require_acyclic(parent);
 }
 
 Code encode(const ParentArray& parent) {

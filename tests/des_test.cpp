@@ -12,37 +12,12 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "distributed/dataplane.hpp"
-#include "distributed/event_queue.hpp"
+#include "distributed/logical_process.hpp"
 #include "helpers.hpp"
 #include "wsn/metrics.hpp"
 
 namespace mrlc::dist {
 namespace {
-
-// ------------------------------------------------------------ event queue --
-
-TEST(EventQueue, PopsInTimeNodeSeqOrder) {
-  EventQueue q;
-  q.push(Event{5, 2, 0, EventKind::kNodeRound});
-  q.push(Event{1, 7, 3, EventKind::kNodeRound});
-  q.push(Event{5, 1, 9, EventKind::kChurnWake});
-  q.push(Event{1, 7, 1, EventKind::kTxnWake});
-  q.push(Event{1, 0, 4, EventKind::kNodeRound});
-  ASSERT_EQ(q.size(), 5u);
-
-  const Event a = q.pop();  // (1, 0, 4)
-  EXPECT_EQ(a.time, 1u);
-  EXPECT_EQ(a.node, 0);
-  const Event b = q.pop();  // (1, 7, 1) before (1, 7, 3)
-  EXPECT_EQ(b.node, 7);
-  EXPECT_EQ(b.seq, 1u);
-  const Event c = q.pop();
-  EXPECT_EQ(c.seq, 3u);
-  const Event d = q.pop();  // (5, 1, 9) before (5, 2, 0)
-  EXPECT_EQ(d.node, 1);
-  EXPECT_EQ(q.pop().node, 2);
-  EXPECT_TRUE(q.empty());
-}
 
 // ---------------------------------------------------------- parity helpers --
 
@@ -208,6 +183,29 @@ TEST(DesEngine, ThreadCountInvariance) {
   }
 }
 
+/// More workers than nodes leaves some shards empty; they sweep nothing
+/// and the result still matches the legacy loop in every repair mode.
+TEST(DesEngine, MoreWorkersThanNodes) {
+  Rng rng(3);
+  wsn::Network net = mrlc::testing::small_random_network(3, 1.0, rng);
+  wsn::AggregationTree tree = mrlc::testing::random_tree(net, rng);
+  const double bound = 0.5 * wsn::network_lifetime(net, tree);
+  const Instance inst{std::move(net), std::move(tree), bound};
+  ThreadGuard guard(8);
+  for (const RepairMode mode :
+       {RepairMode::kNone, RepairMode::kOracle, RepairMode::kEstimator}) {
+    DataPlaneOptions options;
+    options.rounds = 30;
+    options.repair = mode;
+    options.engine = DataPlaneEngine::kLegacy;
+    const DataPlaneResult legacy = run_with(inst, options);
+    options.engine = DataPlaneEngine::kDes;
+    const DataPlaneResult des = run_with(inst, options);
+    expect_bitwise_equal(
+        legacy, des, "n=3 threads=8 mode=" + std::to_string(static_cast<int>(mode)));
+  }
+}
+
 /// In kNone mode the window width only changes barrier cadence, not bits.
 TEST(DesEngine, WindowWidthInvariance) {
   const Instance inst = make_instance(5);
@@ -275,26 +273,45 @@ TEST(DesEngine, MetricsFlushWritesSnapshots) {
   std::remove(path.c_str());
 }
 
-/// The DES instruments move: every (node, round) wakes exactly once in
-/// the fused modes, and scheduled = seeds + processed.
+/// The DES instruments count the per-node round wakes exactly: once per
+/// (node, round) in the fused modes and twice (churn, then transaction)
+/// under oracle repair, each wake scheduling its successor, so scheduled
+/// = seeds + processed.  Repair modes commit one round per window with a
+/// repair checkpoint beside the commit; the safe time ends on the last
+/// committed round's boundary.
 TEST(DesEngine, EventAccounting) {
   const Instance inst = make_instance(8);
-  DataPlaneOptions options;
-  options.rounds = 20;
-  options.repair = RepairMode::kNone;
-  options.engine = DataPlaneEngine::kDes;
-  const auto before = counter_snapshot(true);
-  (void)run_with(inst, options);
-  const long long processed =
-      metrics::counter("dataplane.events_processed").value() -
-      before[std::size(kSharedCounters) + 1];
-  const long long scheduled =
-      metrics::counter("dataplane.events_scheduled").value() -
-      before[std::size(kSharedCounters)];
-  const int n = inst.net.node_count();
-  EXPECT_EQ(processed, static_cast<long long>(n) * options.rounds);
-  EXPECT_EQ(scheduled, processed + n);
-  EXPECT_GT(metrics::gauge("des.safe_time").value(), 0.0);
+  const long long n = inst.net.node_count();
+  for (const RepairMode mode :
+       {RepairMode::kNone, RepairMode::kOracle, RepairMode::kEstimator}) {
+    SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+    DataPlaneOptions options;
+    options.rounds = 20;
+    options.window_rounds = 8;
+    options.repair = mode;
+    options.engine = DataPlaneEngine::kDes;
+    const bool none = mode == RepairMode::kNone;
+    const long long wakes = mode == RepairMode::kOracle ? 2 : 1;
+    const long long windows = none ? 3 : options.rounds;  // ceil(20 / 8) or 20
+
+    auto value = [](const char* name) { return metrics::counter(name).value(); };
+    const long long processed0 = value("dataplane.events_processed");
+    const long long scheduled0 = value("dataplane.events_scheduled");
+    const long long windows0 = value("des.windows");
+    const long long checkpoints0 = value("des.checkpoints");
+    (void)run_with(inst, options);
+
+    const long long processed = value("dataplane.events_processed") - processed0;
+    EXPECT_EQ(processed, wakes * n * options.rounds);
+    EXPECT_EQ(value("dataplane.events_scheduled") - scheduled0,
+              processed + wakes * n);
+    EXPECT_EQ(value("des.windows") - windows0, windows);
+    EXPECT_EQ(value("des.checkpoints") - checkpoints0, none ? windows : 2 * windows);
+    EXPECT_EQ(metrics::gauge("des.safe_time").value(),
+              static_cast<double>(static_cast<engine::SlotTime>(options.rounds) *
+                                  engine::slots_per_round(options.arq)));
+    EXPECT_EQ(metrics::gauge("des.window_rounds").value(), none ? 8.0 : 1.0);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
 
@@ -133,6 +134,55 @@ TEST(PruferValidation, RejectsMalformedInput) {
   EXPECT_THROW(decode({7}, 3), std::invalid_argument);  // entry out of range
   EXPECT_THROW(decode({0, 0}, 3), std::invalid_argument);  // wrong length
   EXPECT_THROW(encode({-1}), std::invalid_argument);  // n < 2
+}
+
+/// A 10^5-node chain is the deepest tree there is; validation walks each
+/// node once, so validating and encoding it stays far below the ceiling
+/// (walking every node's root path instead takes n^2/2 = 5e9 steps).
+TEST(PruferValidation, LongChainIsLinearTime) {
+  const int n = 100000;
+  ParentArray chain(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) chain[static_cast<std::size_t>(v)] = v - 1;
+  const auto start = std::chrono::steady_clock::now();
+  validate_parent_array(chain);
+  validate_forest(chain);
+  const Code code = encode(chain);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 1.0);
+  // The only leaf is always the chain's end: code = n-2, n-3, ..., 1.
+  ASSERT_EQ(code.size(), static_cast<std::size_t>(n - 2));
+  EXPECT_EQ(code.front(), n - 2);
+  EXPECT_EQ(code.back(), 1);
+  EXPECT_EQ(decode(code, n), chain);
+}
+
+/// A cycle through every non-root node never reaches the root; walks
+/// entering it from a tail must be caught too.
+TEST(PruferValidation, RejectsLongCycleAvoidingRoot) {
+  const int n = 5000;
+  ParentArray parent(static_cast<std::size_t>(n));
+  parent[0] = -1;
+  parent[1] = n / 2 - 1;  // 1 -> n/2-1 -> ... -> 2 -> 1
+  for (int v = 2; v < n / 2; ++v) parent[static_cast<std::size_t>(v)] = v - 1;
+  for (int v = n / 2; v < n; ++v) parent[static_cast<std::size_t>(v)] = v - 1;  // tail
+  EXPECT_THROW(validate_parent_array(parent), std::invalid_argument);
+  EXPECT_THROW(validate_forest(parent), std::invalid_argument);
+  EXPECT_THROW(encode(parent), std::invalid_argument);
+}
+
+/// Forest validation accepts detached subtrees whose walks merge, and
+/// rejects a cycle hidden beside them.
+TEST(PruferValidation, RejectsCycleInForest) {
+  //                         0   1  2  3  4  5  6
+  const ParentArray forest{-1, -1, 1, 1, 2, 0, 5};
+  EXPECT_NO_THROW(validate_forest(forest));
+  EXPECT_THROW(validate_parent_array(forest), std::invalid_argument);  // detached 1
+
+  //                          0   1  2  3  4  5  6
+  const ParentArray cyclic{-1, -1, 1, 4, 6, 0, 3};  // 3 -> 4 -> 6 -> 3
+  EXPECT_THROW(validate_forest(cyclic), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- updates --
