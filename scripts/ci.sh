@@ -36,6 +36,13 @@
 #   7. bench: mrlc_bench sweep, compared against the committed
 #      BENCH_solver.json baseline.  Timing deltas are a *report*, not a
 #      gate — shared CI machines are too noisy to fail on wall clock.
+#      Two hard gates ride on the same run: no stock workload may record
+#      a simplex.cold_fallbacks event, and every workload's `counters`
+#      block must equal the committed baseline's exactly (same workloads,
+#      same keys, same values).  The counters are seeded and
+#      thread-count independent, so any drift is an algorithmic change;
+#      a change that moves them on purpose regenerates BENCH_solver.json
+#      (`mrlc_bench --repeats 3 --out BENCH_solver.json`) and says why.
 #
 # Usage: scripts/ci.sh [--release-only|--asan-only|--tsan-only]
 # Runs from any directory; build trees live in build-release/, build-asan/,
@@ -390,6 +397,27 @@ bad = [(w["name"], w["metrics"]["counters"].get("simplex.cold_fallbacks", 0))
 if bad:
     sys.exit(f"ci: simplex.cold_fallbacks nonzero on stock workloads: {bad}")
 print("ci: simplex.cold_fallbacks == 0 on every stock workload")
+PY
+    echo "=== bench: counter gate ==="
+    python3 - "$repo/BENCH_solver.json" "$repo/build-release/BENCH_solver.json" <<'PY'
+import json, sys
+def counters(path):
+    doc = json.load(open(path, encoding="utf-8"))
+    return {w["name"]: w["metrics"]["counters"] for w in doc.get("workloads", [])}
+base, fresh = counters(sys.argv[1]), counters(sys.argv[2])
+bad = []
+for name in sorted(set(base) | set(fresh)):
+    if name not in fresh or name not in base:
+        bad.append(f"{name}: only in {'baseline' if name in base else 'fresh run'}")
+        continue
+    for key in sorted(set(base[name]) | set(fresh[name])):
+        if base[name].get(key) != fresh[name].get(key):
+            bad.append(f"{name} {key}: baseline {base[name].get(key)} "
+                       f"-> fresh {fresh[name].get(key)}")
+if bad:
+    sys.exit("ci: bench counters differ from BENCH_solver.json:\n  " +
+             "\n  ".join(bad))
+print(f"ci: counters of all {len(base)} workloads match BENCH_solver.json")
 PY
   else
     echo "bench: skipped (no bench binary or no committed baseline)"

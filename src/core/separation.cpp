@@ -1,6 +1,7 @@
 #include "core/separation.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "common/faultpoint.hpp"
@@ -8,23 +9,70 @@
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "graph/maxflow.hpp"
-#include "graph/traversal.hpp"
 
 namespace mrlc::core {
+
+namespace {
+
+/// The support of one fractional point: its alive edges with x_e != 0, in
+/// edge-id order.  A sum over this list equals, bit for bit, the same sum
+/// over every alive edge in id order: the skipped terms are ±0.0, and a
+/// running sum that starts at +0.0 is never -0.0, so adding ±0.0 to it
+/// changes nothing.  A set weight then costs O(|S| + |supp|) and no
+/// allocation.
+class Support {
+ public:
+  struct Edge {
+    graph::VertexId u;
+    graph::VertexId v;
+    double x;
+  };
+
+  Support(const graph::Graph& g, const std::vector<double>& edge_values)
+      : in_set_(static_cast<std::size_t>(g.vertex_count()), 0) {
+    const std::span<const graph::Edge> all = g.edges();
+    for (graph::EdgeId id = 0; id < g.edge_count(); ++id) {
+      if (!g.is_alive(id)) continue;
+      const double x = edge_values[static_cast<std::size_t>(id)];
+      const graph::Edge& e = all[static_cast<std::size_t>(id)];
+      if (x != 0.0) edges_.push_back(Edge{e.u, e.v, x});
+    }
+  }
+
+  const std::vector<Edge>& edges() const noexcept { return edges_; }
+
+  /// x(E(S)) for a subset without duplicates.
+  double internal_weight(const std::vector<graph::VertexId>& subset) {
+    for (graph::VertexId v : subset) in_set_[static_cast<std::size_t>(v)] = 1;
+    double total = 0.0;
+    for (const Edge& e : edges_) {
+      if (in_set_[static_cast<std::size_t>(e.u)] != 0 &&
+          in_set_[static_cast<std::size_t>(e.v)] != 0) {
+        total += e.x;
+      }
+    }
+    for (graph::VertexId v : subset) in_set_[static_cast<std::size_t>(v)] = 0;
+    return total;
+  }
+
+  /// x(E(V)).
+  double total_weight() const {
+    double total = 0.0;
+    for (const Edge& e : edges_) total += e.x;
+    return total;
+  }
+
+ private:
+  std::vector<Edge> edges_;
+  std::vector<char> in_set_;  ///< membership marker, all zero between calls
+};
+
+}  // namespace
 
 double subset_internal_weight(const graph::Graph& g,
                               const std::vector<double>& edge_values,
                               const std::vector<graph::VertexId>& subset) {
-  std::vector<bool> in_set(static_cast<std::size_t>(g.vertex_count()), false);
-  for (graph::VertexId v : subset) in_set[static_cast<std::size_t>(v)] = true;
-  double total = 0.0;
-  for (graph::EdgeId id : g.alive_edge_ids()) {
-    const graph::Edge& e = g.edge(id);
-    if (in_set[static_cast<std::size_t>(e.u)] && in_set[static_cast<std::size_t>(e.v)]) {
-      total += edge_values[static_cast<std::size_t>(id)];
-    }
-  }
-  return total;
+  return Support(g, edge_values).internal_weight(subset);
 }
 
 void SubtourCutPool::remember(const std::vector<graph::VertexId>& subset) {
@@ -86,14 +134,13 @@ constexpr double kForce = 1e12;
 /// restored — no per-candidate construction.
 class SubtourSweepNetwork {
  public:
-  SubtourSweepNetwork(const graph::Graph& g, const std::vector<double>& edge_values)
-      : n_(g.vertex_count()), source_(n_), sink_(n_ + 1), flow_(n_ + 2) {
+  SubtourSweepNetwork(int vertex_count, const Support& support)
+      : n_(vertex_count), source_(n_), sink_(n_ + 1), flow_(n_ + 2) {
     // Fractional degree d_v = x(δ(v)); node weight w_v = d_v - 2.
     std::vector<double> degree(static_cast<std::size_t>(n_), 0.0);
-    for (graph::EdgeId id : g.alive_edge_ids()) {
-      const graph::Edge& e = g.edge(id);
-      degree[static_cast<std::size_t>(e.u)] += edge_values[static_cast<std::size_t>(id)];
-      degree[static_cast<std::size_t>(e.v)] += edge_values[static_cast<std::size_t>(id)];
+    for (const Support::Edge& e : support.edges()) {
+      degree[static_cast<std::size_t>(e.u)] += e.x;
+      degree[static_cast<std::size_t>(e.v)] += e.x;
     }
     force_arc_.assign(static_cast<std::size_t>(n_), -1);
     for (graph::VertexId v = 0; v < n_; ++v) {
@@ -106,11 +153,10 @@ class SubtourSweepNetwork {
       }
       force_arc_[static_cast<std::size_t>(v)] = flow_.add_arc(source_, v, 0.0);
     }
-    for (graph::EdgeId id : g.alive_edge_ids()) {
-      const graph::Edge& e = g.edge(id);
-      const double x = edge_values[static_cast<std::size_t>(id)];
-      if (x > 0.0) flow_.add_undirected(e.u, e.v, x);
+    for (const Support::Edge& e : support.edges()) {
+      if (e.x > 0.0) flow_.add_undirected(e.u, e.v, e.x);
     }
+    flow_.reset();  // lays the arcs out now, so copies share one layout
   }
 
   /// min f(S) over all S containing `forced_in` (one max-flow).
@@ -203,7 +249,7 @@ SeparationCut min_subtour_cut_containing(const graph::Graph& g,
                "one value per edge");
   MRLC_REQUIRE(forced_in >= 0 && forced_in < g.vertex_count(),
                "forced vertex out of range");
-  SubtourSweepNetwork network(g, edge_values);
+  SubtourSweepNetwork network(g.vertex_count(), Support(g, edge_values));
   return network.min_cut_containing(forced_in);
 }
 
@@ -238,10 +284,11 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
   std::vector<std::vector<graph::VertexId>> result;
   if (n < 3) return result;  // |S| = 2 rows are the x_e <= 1 bounds
 
+  Support support(g, edge_values);
   std::set<std::vector<graph::VertexId>> seen;
   auto consider = [&](std::vector<graph::VertexId> subset) {
     if (subset.size() < 2 || static_cast<int>(subset.size()) >= n) return false;
-    const double internal = subset_internal_weight(g, edge_values, subset);
+    const double internal = support.internal_weight(subset);
     if (internal <= static_cast<double>(subset.size()) - 1.0 + tolerance) {
       return false;
     }
@@ -262,28 +309,43 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
     return result;
   };
 
-  // Stage 1: connected components of the fractional support.
+  // Stage 1: connected components of the edges with x_e > tolerance,
+  // labelled straight off the adjacency lists (which hold alive edges
+  // only) in smallest-vertex order, as `graph::connected_components` would
+  // label a filtered copy.
   {
-    std::vector<bool> keep(static_cast<std::size_t>(g.edge_count()), false);
-    for (graph::EdgeId id : g.alive_edge_ids()) {
-      keep[static_cast<std::size_t>(id)] =
-          edge_values[static_cast<std::size_t>(id)] > tolerance;
+    std::vector<int> label(static_cast<std::size_t>(n), -1);
+    std::vector<graph::VertexId> frontier;
+    frontier.reserve(static_cast<std::size_t>(n));
+    int count = 0;
+    for (graph::VertexId start = 0; start < n; ++start) {
+      if (label[static_cast<std::size_t>(start)] != -1) continue;
+      const int comp = count++;
+      label[static_cast<std::size_t>(start)] = comp;
+      frontier.assign(1, start);
+      for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const graph::VertexId v = frontier[head];
+        for (graph::EdgeId id : g.incident(v)) {
+          if (!(edge_values[static_cast<std::size_t>(id)] > tolerance)) continue;
+          const graph::VertexId w = g.edge(id).other(v);
+          if (label[static_cast<std::size_t>(w)] == -1) {
+            label[static_cast<std::size_t>(w)] = comp;
+            frontier.push_back(w);
+          }
+        }
+      }
     }
-    const graph::Graph support = g.filtered(keep);
-    const graph::Components comps = graph::connected_components(support);
-    if (comps.count > 1) {
-      std::vector<std::vector<graph::VertexId>> members(
-          static_cast<std::size_t>(comps.count));
+    if (count > 1) {
+      std::vector<std::vector<graph::VertexId>> members(static_cast<std::size_t>(count));
       for (graph::VertexId v = 0; v < n; ++v) {
-        members[static_cast<std::size_t>(comps.label[static_cast<std::size_t>(v)])]
-            .push_back(v);
+        members[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])].push_back(v);
       }
       for (auto& subset : members) consider(std::move(subset));
     }
     if (!result.empty()) return finish();
   }
 
-  // Stage 1.5: recheck pooled sets — an O(|E|) scan per set against zero
+  // Stage 1.5: recheck pooled sets — an O(|supp|) sum per set against zero
   // max-flows.  Sets that separated an earlier fractional point of the
   // same instance frequently separate the next one too.
   if (pool) {
@@ -318,12 +380,8 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
   // hyperplane (x(E(V)) > n - 1: possible for arbitrary caller-supplied
   // points) S = V could mask proper violations, so fall back to the classic
   // sweep with a forced-out vertex.
-  double total_weight = 0.0;
-  for (graph::EdgeId id : g.alive_edge_ids()) {
-    total_weight += edge_values[static_cast<std::size_t>(id)];
-  }
   const bool on_span_hyperplane =
-      total_weight <= static_cast<double>(n - 1) + tolerance;
+      support.total_weight() <= static_cast<double>(n - 1) + tolerance;
 
   struct Candidate {
     graph::VertexId u;
@@ -364,13 +422,14 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
   std::vector<SeparationCut> slots(kBatch);
   // One reusable network per batch slot: capacities are reset between
   // candidates instead of rebuilding the arc lists (slot i only ever runs
-  // one candidate at a time, so the parallel batch stays race-free).
+  // one candidate at a time, so the parallel batch stays race-free).  The
+  // network is built once and copied into the other slots.
   std::vector<SubtourSweepNetwork> networks;
   if (on_span_hyperplane) {
-    networks.reserve(std::min(kBatch, candidates.size()));
-    for (std::size_t i = 0; i < std::min(kBatch, candidates.size()); ++i) {
-      networks.emplace_back(g, edge_values);
-    }
+    const std::size_t slot_count = std::min(kBatch, candidates.size());
+    networks.reserve(slot_count);
+    networks.emplace_back(n, support);
+    while (networks.size() < slot_count) networks.push_back(networks.front());
   }
   std::vector<char> failed(kBatch, 0);
   for (std::size_t start = 0; start < candidates.size(); start += kBatch) {
@@ -413,12 +472,12 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
     for (int i = 0; i < batch_size; ++i) {
       SeparationCut& cut = slots[static_cast<std::size_t>(i)];
       if (failed[static_cast<std::size_t>(i)] != 0) {
-        // Audited recovery: rebuild the auxiliary network from the graph
+        // Audited recovery: rebuild the auxiliary network from the support
         // and re-run the candidate serially.  The retried flow is exact,
         // so a recovered sweep returns the same cuts as a clean one.
         const Candidate& c = candidates[start + static_cast<std::size_t>(i)];
         if (on_span_hyperplane) {
-          SubtourSweepNetwork retry(g, edge_values);
+          SubtourSweepNetwork retry(n, support);
           cut = retry.min_cut_containing(c.u);
         } else {
           cut = c.u_inside ? min_subtour_cut(g, edge_values, c.u, r)

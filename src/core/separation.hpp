@@ -39,9 +39,10 @@ enum class SeparationMode { kExact, kHeuristicOnly };
 /// Memory of previously violated vertex sets, shared across separation
 /// calls (cut rounds, and outer IRA iterations, which rebuild the LP and
 /// thereby discard the rows themselves).  Before paying for a max-flow
-/// sweep the oracle rechecks pooled sets with a cheap O(|E|) evaluation —
-/// sets that cut off one fractional point often cut off the next (counted
-/// in `separation.pool_hits`) — and uses pool statistics to order the
+/// sweep the oracle rechecks pooled sets with a cheap O(|supp|) sum over
+/// the point's support (edges with x_e != 0) — sets that cut off one
+/// fractional point often cut off the next (counted in
+/// `separation.pool_hits`) — and uses pool statistics to order the
 /// sweep so that historically "hot" vertices are probed first, which makes
 /// the early exit fire sooner.  Vertex ids must stay stable for the pool's
 /// lifetime (IRA only removes edges, never vertices).
@@ -139,7 +140,9 @@ SeparationCut min_subtour_cut_containing(const graph::Graph& g,
 /// \brief x(E(S)): total edge value internal to a vertex subset.
 /// \param g  the graph; \param edge_values  x_e per edge id;
 /// \param subset  the vertex set S (no duplicates).
-/// \return sum of `edge_values` over alive edges with both ends in S.
+/// \return sum of `edge_values` over alive edges with both ends in S, in
+///         edge-id order (bit for bit; the oracle's set checks use the
+///         same code).
 double subset_internal_weight(const graph::Graph& g,
                               const std::vector<double>& edge_values,
                               const std::vector<graph::VertexId>& subset);

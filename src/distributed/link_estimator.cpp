@@ -56,6 +56,8 @@ std::optional<LinkEvent> LinkEstimatorBank::observe_detached(wsn::EdgeId link,
 }
 
 void LinkEstimatorBank::observe(wsn::EdgeId link, bool success) {
+  MRLC_REQUIRE(link >= 0 && link < static_cast<int>(links_.size()),
+               "link out of range");
   State& s = links_[static_cast<std::size_t>(link)];
   const int queued_index = s.pending;
   std::optional<LinkEvent> fired = observe_detached(link, success);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/dsu.hpp"
@@ -296,6 +298,160 @@ TEST(MaxFlow, RejectsBadInput) {
   EXPECT_THROW(f.add_arc(0, 1, -1.0), std::invalid_argument);
   EXPECT_THROW(f.max_flow(0, 0), std::invalid_argument);
   EXPECT_THROW(MaxFlow(2, 0.0), std::invalid_argument);
+}
+
+TEST(MaxFlow, AddArcReturnsIndexAmongAllArcsOfItsSource) {
+  // Reverse entries count: node 1 holds the reverse of 0->1 before 1->0.
+  MaxFlow f(3);
+  EXPECT_EQ(f.add_arc(0, 1, 1.0), 0);
+  EXPECT_EQ(f.add_arc(1, 0, 1.0), 1);
+  EXPECT_EQ(f.add_arc(0, 2, 1.0), 2);
+  EXPECT_EQ(f.add_arc(2, 1, 1.0), 1);
+}
+
+TEST(MaxFlow, SweepCycleRepeatsExactly) {
+  // The separation sweep's reuse pattern: raise one zero arc, solve,
+  // restore it, reset, and solve again for another arc — each solve must
+  // equal the same solve on a freshly built network.
+  auto build = [](MaxFlow& f, std::vector<int>& force) {
+    f.add_arc(0, 1, 0.75);
+    f.add_arc(2, 5, 1.25);
+    f.add_undirected(1, 2, 0.5);
+    f.add_undirected(2, 3, 1.0);
+    f.add_undirected(3, 4, 0.25);
+    f.add_arc(4, 5, 2.0);
+    force.clear();
+    for (int v = 1; v <= 4; ++v) force.push_back(f.add_arc(0, v, 0.0));
+  };
+  MaxFlow reused(6);
+  std::vector<int> force;
+  build(reused, force);
+  for (int round = 0; round < 2; ++round) {
+    for (int k = 0; k < 4; ++k) {
+      reused.set_arc_capacity(0, force[static_cast<std::size_t>(k)], 1e12);
+      const double value = reused.max_flow(0, 5);
+      const std::vector<int> side = reused.min_cut_source_side(0);
+      reused.set_arc_capacity(0, force[static_cast<std::size_t>(k)], 0.0);
+      reused.reset();
+
+      MaxFlow fresh(6);
+      std::vector<int> fresh_force;
+      build(fresh, fresh_force);
+      fresh.set_arc_capacity(0, fresh_force[static_cast<std::size_t>(k)], 1e12);
+      EXPECT_EQ(value, fresh.max_flow(0, 5)) << "round " << round << " arc " << k;
+      EXPECT_EQ(side, fresh.min_cut_source_side(0)) << "round " << round << " arc " << k;
+    }
+  }
+  // After the last restore the network is back to its original flow.
+  MaxFlow plain(6);
+  build(plain, force);
+  EXPECT_EQ(reused.max_flow(0, 5), plain.max_flow(0, 5));
+}
+
+TEST(MaxFlow, AddArcAfterMaxFlowLaysOutAgain) {
+  MaxFlow f(3);
+  f.add_arc(0, 1, 2.0);
+  f.add_arc(1, 2, 1.0);
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 2), 1.0);
+  // The new arc joins the solved network; earlier residuals survive.
+  EXPECT_EQ(f.add_arc(0, 2, 3.0), 1);
+  const std::vector<int> before = f.min_cut_source_side(0);  // not yet laid out
+  EXPECT_EQ(before, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 2), 3.0);
+  EXPECT_EQ(f.min_cut_source_side(0), (std::vector<int>{0, 1}));
+  f.reset();
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 2), 4.0);
+  // Indices handed out before the second layout still address their arcs.
+  f.set_arc_capacity(0, 0, 0.0);
+  f.reset();
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 2), 3.0);
+  f.set_arc_capacity(0, 1, 0.5);
+  f.reset();
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 2), 0.5);
+  EXPECT_THROW(f.set_arc_capacity(0, 2, 1.0), std::invalid_argument);
+}
+
+TEST(MaxFlow, ResetNetworkShrinksThenGrows) {
+  MaxFlow f(5);
+  f.add_arc(0, 3, 4.0);
+  f.add_arc(3, 4, 2.0);
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 4), 2.0);
+
+  f.reset_network(2);
+  EXPECT_THROW(f.add_arc(0, 3, 1.0), std::invalid_argument);
+  EXPECT_THROW(f.set_arc_capacity(0, 0, 1.0), std::invalid_argument);  // no arcs left
+  EXPECT_EQ(f.add_arc(0, 1, 1.5), 0);
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 1), 1.5);
+  EXPECT_EQ(f.min_cut_source_side(0), (std::vector<int>{0}));
+
+  f.reset_network(6);
+  f.add_undirected(0, 5, 1.0);
+  f.add_arc(0, 2, 2.0);
+  f.add_arc(2, 5, 0.5);
+  EXPECT_DOUBLE_EQ(f.max_flow(0, 5), 1.5);
+  EXPECT_EQ(f.min_cut_source_side(0), (std::vector<int>{0, 2}));
+  EXPECT_THROW(f.reset_network(-1), std::invalid_argument);
+}
+
+TEST(MaxFlow, BruteForceMinCutOnRandomNetworks) {
+  // Integer capacities keep every flow and cut sum exact, and make tied
+  // minimum cuts common — the case where the minimal source side matters.
+  Rng rng(90210);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 10));
+    const int source = 0;
+    const int sink = n - 1;
+    std::vector<std::vector<double>> cap(static_cast<std::size_t>(n),
+                                         std::vector<double>(static_cast<std::size_t>(n), 0.0));
+    MaxFlow f(n);
+    const int arcs = static_cast<int>(rng.uniform_int(0, 3 * n));
+    for (int k = 0; k < arcs; ++k) {
+      const int a = static_cast<int>(rng.uniform_int(0, n - 1));
+      const int b = static_cast<int>(rng.uniform_int(0, n - 1));
+      if (a == b) continue;
+      const double c = static_cast<double>(rng.uniform_int(0, 3));
+      if (rng.bernoulli(0.5)) {
+        f.add_undirected(a, b, c);
+        cap[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] += c;
+      } else {
+        f.add_arc(a, b, c);
+      }
+      cap[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] += c;
+    }
+    const double flow = f.max_flow(source, sink);
+
+    auto cut_of = [&](unsigned mask) {
+      double total = 0.0;
+      for (int u = 0; u < n; ++u) {
+        for (int v = 0; v < n; ++v) {
+          if ((mask >> u & 1U) != 0 && (mask >> v & 1U) == 0) {
+            total += cap[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
+          }
+        }
+      }
+      return total;
+    };
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<unsigned> minimizers;
+    for (unsigned mask = 0; mask < (1U << n); ++mask) {
+      if ((mask & 1U) == 0 || (mask >> sink & 1U) != 0) continue;
+      const double c = cut_of(mask);
+      if (c < best) {
+        best = c;
+        minimizers.clear();
+      }
+      if (c == best) minimizers.push_back(mask);
+    }
+    EXPECT_EQ(flow, best) << "trial " << trial;
+
+    unsigned side_mask = 0;
+    for (int v : f.min_cut_source_side(source)) side_mask |= 1U << v;
+    EXPECT_EQ(cut_of(side_mask), best) << "trial " << trial;
+    for (unsigned mask : minimizers) {
+      EXPECT_EQ(side_mask & ~mask, 0U) << "trial " << trial << ": source side "
+                                       << side_mask << " not inside min cut " << mask;
+    }
+  }
 }
 
 // ---------------------------------------------------------- enumeration --

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -31,6 +34,60 @@ TEST(Separation, SubsetInternalWeight) {
   EXPECT_DOUBLE_EQ(subset_internal_weight(g, x, {0, 1}), 0.5);
   EXPECT_DOUBLE_EQ(subset_internal_weight(g, x, {0, 1, 2}), 1.25);
   EXPECT_DOUBLE_EQ(subset_internal_weight(g, x, {0, 3}), 0.0);
+}
+
+TEST(Separation, SubsetInternalWeightIsBitIdenticalToEdgeOrderSum) {
+  // The reference adds x_e over every alive edge with both ends in S, in
+  // edge-id order.  Dead edges carry nonzero values (they must be ignored),
+  // parallel edges repeat endpoints, and the values mix exact zeros, -0.0
+  // and tiny negatives with ordinary fractions.
+  Rng rng(1509);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, 12));
+    Graph g(n);
+    const int m = static_cast<int>(rng.uniform_int(1, 4 * n));
+    for (int k = 0; k < m; ++k) {
+      const auto u = static_cast<VertexId>(rng.uniform_int(0, n - 1));
+      auto v = static_cast<VertexId>(rng.uniform_int(0, n - 2));
+      if (v >= u) ++v;
+      g.add_edge(u, v, 1.0);
+      if (rng.bernoulli(0.2)) g.add_edge(v, u, 1.0);  // parallel edge
+    }
+    std::vector<double> x(static_cast<std::size_t>(g.edge_count()));
+    for (double& xe : x) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: xe = 0.0; break;
+        case 1: xe = -0.0; break;
+        case 2: xe = -1e-300 * rng.uniform(); break;
+        case 3: xe = -1e-17; break;
+        default: xe = rng.uniform(); break;
+      }
+    }
+    for (EdgeId id = 0; id < g.edge_count(); ++id) {
+      if (rng.bernoulli(0.15)) g.remove_edge(id);
+    }
+    for (int pick = 0; pick < 8; ++pick) {
+      std::vector<VertexId> subset;
+      for (VertexId v = 0; v < n; ++v) {
+        if (rng.bernoulli(0.6)) subset.push_back(v);
+      }
+      rng.shuffle(subset);
+      std::vector<bool> in_set(static_cast<std::size_t>(n), false);
+      for (VertexId v : subset) in_set[static_cast<std::size_t>(v)] = true;
+      double reference = 0.0;
+      for (EdgeId id = 0; id < g.edge_count(); ++id) {
+        const graph::Edge& e = g.edge(id);
+        if (g.is_alive(id) && in_set[static_cast<std::size_t>(e.u)] &&
+            in_set[static_cast<std::size_t>(e.v)]) {
+          reference += x[static_cast<std::size_t>(id)];
+        }
+      }
+      const double got = subset_internal_weight(g, x, subset);
+      EXPECT_EQ(got, reference) << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(reference))
+          << "trial " << trial << ": sign or payload bits differ";
+    }
+  }
 }
 
 TEST(Separation, CleanTreeHasNoViolation) {

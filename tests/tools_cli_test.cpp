@@ -311,6 +311,37 @@ TEST(ToolsCli, UsageAndBadFlagsExitFour) {
             4);
 }
 
+TEST(ToolsCli, HelpAndUnknownModeNeverReadStdin) {
+  // Both are settled before the network is read: with stdin at EOF a
+  // solve mode would fail to parse, so these exit codes and texts can
+  // only come from the argument check.
+  const std::string out = tmp_path("mrlc_solve_help.out");
+  const std::string err = tmp_path("mrlc_solve_help.err");
+  for (const char* flag : {"--help", "-h", "ira --help"}) {
+    EXPECT_EQ(run_command(std::string(MRLC_TOOL_SOLVE) + " " + flag +
+                          " < /dev/null > " + out + " 2> " + err),
+              0)
+        << flag;
+    const std::string text = read_file(out);
+    EXPECT_NE(text.find("usage:"), std::string::npos) << flag;
+    EXPECT_TRUE(read_file(err).empty()) << flag;
+    // --threads N's description reads in one piece.
+    EXPECT_NE(text.find("  --threads N           worker threads for the parallel solver\n"
+                        "                        core (0 = hardware concurrency); the\n"
+                        "                        tree and counters are identical for\n"
+                        "                        every N\n"),
+              std::string::npos)
+        << text;
+  }
+  EXPECT_EQ(run_command(std::string(MRLC_TOOL_SOLVE) + " bogus < /dev/null > " +
+                        out + " 2> " + err),
+            4);
+  EXPECT_TRUE(read_file(out).empty());
+  const std::string usage = read_file(err);
+  EXPECT_EQ(usage.rfind("usage:", 0), 0u) << usage;
+  EXPECT_NE(usage.find("--threads N"), std::string::npos);
+}
+
 TEST(ToolsCli, CorruptCorpusExitsFour) {
   // Every file in the malformed-input corpus must die with the documented
   // parse/validation exit code — not a crash, not a tree.

@@ -53,60 +53,77 @@
 
 namespace {
 
+/// The modes `run` dispatches on; anything else is a usage error that is
+/// reported before stdin is read.
+bool known_mode(const std::string& mode) {
+  for (const char* name : {"auto", "ira", "greedy", "mst", "aaml", "probe",
+                           "faults", "dataplane"}) {
+    if (mode == name) return true;
+  }
+  return false;
+}
+
+void print_usage(std::ostream& out) {
+  out << "usage:\n"
+         "  mrlc_solve auto   --lifetime ROUNDS [--certify] < net > tree\n"
+         "  mrlc_solve ira    --lifetime ROUNDS [--strict]\n"
+         "                    [--variant mrlc|etx|min_energy|max_lifetime]\n"
+         "                    < net > tree\n"
+         "  mrlc_solve greedy --lifetime ROUNDS             < net > tree\n"
+         "  mrlc_solve mst                                  < net > tree\n"
+         "  mrlc_solve aaml   [--lex]                       < net > tree\n"
+         "  mrlc_solve probe                                < net\n"
+         "  mrlc_solve faults --lifetime ROUNDS [--relax] [--lossy]\n"
+         "                    [--retx N] [--seed S]         < net+faults\n"
+         "  mrlc_solve dataplane --lifetime ROUNDS [--rounds N]\n"
+         "                    [--repair none|oracle|estimator]\n"
+         "                    [--channel bernoulli|gilbert-elliott]\n"
+         "                    [--burst B] [--attempts N]\n"
+         "                    [--ack-fraction F] [--probe P]\n"
+         "                    [--churn-sigma S] [--seed S]\n"
+         "                    [--dataplane-engine legacy|des]\n"
+         "                    [--window-rounds W]\n"
+         "                    [--metrics-flush-every N]\n"
+         "                    [--metrics-flush-path PATH] < net\n"
+         "  mrlc_solve --help | -h   print this text to stdout, exit 0\n"
+         "global flags:\n"
+         "  --variant NAME        problem variant for ira/auto (default\n"
+         "                        mrlc; etx minimizes expected ARQ\n"
+         "                        transmissions under energy budgets,\n"
+         "                        min_energy the expected radio energy,\n"
+         "                        max_lifetime maximizes the lifetime\n"
+         "                        with --lifetime as a floor)\n"
+         "  --metrics-json PATH   write solver metrics (counters, phase\n"
+         "                        timings) as JSON after the run\n"
+         "  --threads N           worker threads for the parallel solver\n"
+         "                        core (0 = hardware concurrency); the\n"
+         "                        tree and counters are identical for\n"
+         "                        every N\n"
+         "  --engine sparse|dense LP engine (default sparse; dense is\n"
+         "                        the historical tableau oracle)\n"
+         "  --lp-crosscheck       audit every sparse LP solve against\n"
+         "                        the dense oracle (testing; ~2x cost)\n"
+         "  --deadline-ms N       wall-clock budget; ira/auto then run\n"
+         "                        anytime: on exhaustion the best\n"
+         "                        incumbent tree and a certified gap\n"
+         "                        are returned with exit code 2\n"
+         "  --budget N            deterministic work budget (simplex\n"
+         "                        pivots + separation max-flows); same\n"
+         "                        anytime semantics, bit-reproducible\n"
+         "  --inject SPEC         arm fault points: name[:K][,...]\n"
+         "                        (K = fire on the Kth arrival only;\n"
+         "                        also via env MRLC_FAULTS)\n"
+         "exit codes:\n"
+         "  0 solved   2 feasible, budget exhausted (incumbent printed)\n"
+         "  3 infeasible   4 bad usage or malformed input   5 internal\n";
+}
+
 [[noreturn]] void usage() {
-  std::cerr << "usage:\n"
-               "  mrlc_solve auto   --lifetime ROUNDS [--certify] < net > tree\n"
-               "  mrlc_solve ira    --lifetime ROUNDS [--strict]\n"
-               "                    [--variant mrlc|etx|min_energy|max_lifetime]\n"
-               "                    < net > tree\n"
-               "  mrlc_solve greedy --lifetime ROUNDS             < net > tree\n"
-               "  mrlc_solve mst                                  < net > tree\n"
-               "  mrlc_solve aaml   [--lex]                       < net > tree\n"
-               "  mrlc_solve probe                                < net\n"
-               "  mrlc_solve faults --lifetime ROUNDS [--relax] [--lossy]\n"
-               "                    [--retx N] [--seed S]         < net+faults\n"
-               "  mrlc_solve dataplane --lifetime ROUNDS [--rounds N]\n"
-               "                    [--repair none|oracle|estimator]\n"
-               "                    [--channel bernoulli|gilbert-elliott]\n"
-               "                    [--burst B] [--attempts N]\n"
-               "                    [--ack-fraction F] [--probe P]\n"
-               "                    [--churn-sigma S] [--seed S]\n"
-               "                    [--dataplane-engine legacy|des]\n"
-               "                    [--window-rounds W]\n"
-               "                    [--metrics-flush-every N]\n"
-               "                    [--metrics-flush-path PATH] < net\n"
-               "global flags:\n"
-               "  --variant NAME        problem variant for ira/auto (default\n"
-               "                        mrlc; etx minimizes expected ARQ\n"
-               "                        transmissions under energy budgets,\n"
-               "                        min_energy the expected radio energy,\n"
-               "                        max_lifetime maximizes the lifetime\n"
-               "                        with --lifetime as a floor)\n"
-               "  --metrics-json PATH   write solver metrics (counters, phase\n"
-               "                        timings) as JSON after the run\n"
-               "  --threads N           worker threads for the parallel solver\n"
-               "  --engine sparse|dense LP engine (default sparse; dense is\n"
-               "                        the historical tableau oracle)\n"
-               "  --lp-crosscheck       audit every sparse LP solve against\n"
-               "                        the dense oracle (testing; ~2x cost)\n"
-               "                        core (0 = hardware concurrency); the\n"
-               "                        tree and counters are identical for\n"
-               "                        every N\n"
-               "  --deadline-ms N       wall-clock budget; ira/auto then run\n"
-               "                        anytime: on exhaustion the best\n"
-               "                        incumbent tree and a certified gap\n"
-               "                        are returned with exit code 2\n"
-               "  --budget N            deterministic work budget (simplex\n"
-               "                        pivots + separation max-flows); same\n"
-               "                        anytime semantics, bit-reproducible\n"
-               "  --inject SPEC         arm fault points: name[:K][,...]\n"
-               "                        (K = fire on the Kth arrival only;\n"
-               "                        also via env MRLC_FAULTS)\n"
-               "exit codes:\n"
-               "  0 solved   2 feasible, budget exhausted (incumbent printed)\n"
-               "  3 infeasible   4 bad usage or malformed input   5 internal\n";
+  print_usage(std::cerr);
   std::exit(4);
 }
+
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
 const char* status_name(mrlc::dist::RepairStatus status) {
   switch (status) {
@@ -521,11 +538,22 @@ int main(int argc, char** argv) {
     return 4;
   }
   if (argc < 2) usage();
+  // Help and unknown modes are settled before `run` reads stdin, so
+  // `mrlc_solve --help` never waits on an open terminal.
   const std::string mode = argv[1];
+  if (is_help(mode)) {
+    print_usage(std::cout);
+    return 0;
+  }
+  if (!known_mode(mode)) usage();
 
   std::map<std::string, std::string> flags;
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
+    if (is_help(key)) {
+      print_usage(std::cout);
+      return 0;
+    }
     if (key.rfind("--", 0) != 0) usage();
     key = key.substr(2);
     if (key == "strict" || key == "lex" || key == "certify" || key == "relax" ||
