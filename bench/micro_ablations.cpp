@@ -181,7 +181,8 @@ void ablate_separation_oracle() {
   scenario::RandomNetworkConfig config;
   config.prr_min = 0.5;  // wider costs make fractional cycles more likely
 
-  const lp::SimplexSolver solver;
+  core::CutLoopOptions heuristic_options;
+  heuristic_options.separation_mode = core::SeparationMode::kHeuristicOnly;
   int heuristic_unsound = 0;
   long long exact_solves = 0;
   long long heuristic_solves = 0;
@@ -198,12 +199,12 @@ void ablate_separation_oracle() {
 
     core::MrlcLpFormulation exact_f(net.topology(),
                                     core::lifetime_degree_caps(net, all, bound));
-    const core::CutLpResult exact = core::solve_with_subtour_cuts(
-        exact_f, solver, 200, core::SeparationMode::kExact);
+    const core::CutLpResult exact =
+        core::solve_with_subtour_cuts(exact_f, core::CutLoopOptions{});
     core::MrlcLpFormulation heur_f(net.topology(),
                                    core::lifetime_degree_caps(net, all, bound));
-    const core::CutLpResult heur = core::solve_with_subtour_cuts(
-        heur_f, solver, 200, core::SeparationMode::kHeuristicOnly);
+    const core::CutLpResult heur =
+        core::solve_with_subtour_cuts(heur_f, heuristic_options);
     if (exact.status != lp::SolveStatus::kOptimal ||
         heur.status != lp::SolveStatus::kOptimal) {
       continue;

@@ -51,12 +51,12 @@ void BM_SubtourLpMst(benchmark::State& state) {
   // Cutting-plane subtour LP with no degree caps (integral MST, Lemma 1).
   const int n = static_cast<int>(state.range(0));
   const wsn::Network net = make_net(n, 7);
-  const lp::SimplexSolver solver;
   for (auto _ : state) {
     core::MrlcLpFormulation formulation(
         net.topology(),
         std::vector<std::optional<double>>(static_cast<std::size_t>(n)));
-    benchmark::DoNotOptimize(core::solve_with_subtour_cuts(formulation, solver));
+    benchmark::DoNotOptimize(
+        core::solve_with_subtour_cuts(formulation, core::CutLoopOptions{}));
   }
 }
 BENCHMARK(BM_SubtourLpMst)->Arg(8)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);

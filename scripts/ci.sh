@@ -20,7 +20,9 @@
 #      --lp-crosscheck run (dense shadow oracle) must pass;
 #   5c. variant parity gate: `mrlc_solve ira` and `mrlc_solve ira
 #      --variant mrlc` must print byte-identical trees (the problem-variant
-#      interface may not perturb the historical solver), and the
+#      interface may not perturb the historical solver); with an unlimited
+#      `--budget`, both must also exit 0 with the same tree (the anytime
+#      layer runs mrlc through the shared variant route); and the
 #      brute-force optimality suite must pass for every variant;
 #   5d. perfbench golden gate: the repository benchmark (perfbench/,
 #      a standalone Release build under .bench_build/perfbench) must
@@ -174,8 +176,12 @@ engine_parity_smoke() {
 # Variant parity gate: routing the historical MRLC solver through the
 # problem-variant interface must be invisible — `ira` and `ira --variant
 # mrlc` print byte-identical stdout on stock instances (strict and direct
-# bound modes both).  The brute-force sweep then re-proves each variant
-# optimal for its own objective against spanning-tree enumeration.
+# bound modes both).  The anytime pair checks the same for the budgeted
+# route: with a budget that never runs out, `ira --budget` and `ira
+# --variant mrlc --budget` both go through the anytime layer's single
+# body and must exit 0 with the direct solve's stdout.  The brute-force
+# sweep then re-proves each variant optimal for its own objective against
+# spanning-tree enumeration.
 variant_parity_smoke() {
   local bindir="$1" label="$2"
   local gen="$bindir/tools/mrlc_gen" solve="$bindir/tools/mrlc_solve"
@@ -197,6 +203,18 @@ variant_parity_smoke() {
         exit 1
       fi
     done
+    "$solve" ira --lifetime 100 < "$dir/$net.net" > "$dir/${net}_direct.txt"
+    for extra in "" "--variant mrlc"; do
+      if ! "$solve" ira $extra --lifetime 100 --budget 1000000000 \
+          < "$dir/$net.net" > "$dir/${net}_anytime.txt"; then
+        echo "ci: variant parity: anytime ${extra:-ira} did not exit 0 on $net" >&2
+        exit 1
+      fi
+      if ! cmp -s "$dir/${net}_direct.txt" "$dir/${net}_anytime.txt"; then
+        echo "ci: variant parity: anytime ${extra:-ira} differs from the direct solve on $net" >&2
+        exit 1
+      fi
+    done
   done
   if ! "$bindir/tests/test_variant" \
       --gtest_filter='*BruteForce*' > "$dir/bruteforce.log" 2>&1; then
@@ -204,7 +222,7 @@ variant_parity_smoke() {
     echo "ci: variant parity: brute-force optimality suite failed" >&2
     exit 1
   fi
-  echo "ci[$label]: --variant mrlc byte-identical, brute-force optimality clean"
+  echo "ci[$label]: --variant mrlc and the anytime pair byte-identical, brute-force optimality clean"
 }
 
 # Benchmark golden gate: short seeded runs of every perfbench workload.

@@ -33,15 +33,13 @@
 ///
 /// `default_pool()` is the process-wide instance used by the solver core;
 /// `set_default_thread_count()` (driven by the tools' `--threads` flag)
-/// resizes it.  The legacy `parallel_for` free function survives as a thin
-/// compatibility wrapper over the pool.
+/// resizes it.
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -282,21 +280,5 @@ void set_default_thread_count(unsigned threads);
 
 /// \return the default pool's current worker count.
 unsigned default_thread_count();
-
-/// Invokes `body(i)` for every i in [0, count) over the default pool, using
-/// at most `max_threads` workers (0 = all).  Compatibility wrapper kept for
-/// callers that predate `ThreadPool`; new code should use the pool's
-/// templated `for_each`, which avoids the `std::function` allocation and
-/// per-iteration indirect call this signature forces.
-inline void parallel_for(int count, const std::function<void(int)>& body,
-                         unsigned max_threads = 0) {
-  MRLC_REQUIRE(count >= 0, "iteration count must be non-negative");
-  if (count == 0) return;
-  if (max_threads == 1) {  // documented guarantee: ascending serial order
-    for (int i = 0; i < count; ++i) body(i);
-    return;
-  }
-  default_pool().for_each(count, [&body](int i) { body(i); }, max_threads);
-}
 
 }  // namespace mrlc

@@ -10,7 +10,7 @@
 /// `ScopedPhase("ira")` is active records under the path `ira/lp`.  The
 /// same phase name under the same parent shares one accumulator across
 /// calls and threads, so per-phase totals aggregate naturally over a whole
-/// run (or a whole `parallel_for` fan-out).
+/// run (or a whole `ThreadPool::for_each` fan-out).
 ///
 ///     void IterativeRelaxation::solve(...) {
 ///       trace::ScopedPhase phase("ira");          // path: ira

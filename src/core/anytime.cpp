@@ -5,7 +5,6 @@
 
 #include "baselines/aaml.hpp"
 #include "baselines/greedy_mrlc.hpp"
-#include "baselines/mst_baseline.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "graph/mst.hpp"
@@ -33,64 +32,22 @@ namespace {
 struct Incumbent {
   bool valid = false;
   wsn::AggregationTree tree;
-  double cost = 0.0;
   bool meets_bound = false;
   const char* origin = "none";
 };
 
-/// Greedy (degree-capped Kruskal) and the plain MST both cost O(E log E);
-/// the cheapest candidate that meets the bound wins (the MST, when it
-/// qualifies, is unbeatable — it is the global cost minimum).  When
-/// neither meets LC the greedy tree is kept anyway: its cap relaxations
-/// chase the bound, so it is the best-effort fallback, reported honestly
-/// through `meets_bound = false`.
-Incumbent seed_incumbent(const wsn::Network& net, double lifetime_bound) {
-  Incumbent best;
-  try {
-    const baselines::MstResult mst = baselines::mst_baseline(net);
-    best.valid = true;
-    best.tree = mst.tree;
-    best.cost = mst.cost;
-    best.meets_bound = mst.lifetime >= lifetime_bound * (1.0 - 1e-12);
-    best.origin = "mst";
-  } catch (const InfeasibleError&) {
-    // Disconnected topology: the IRA tier will throw the real diagnosis.
-  }
-  if (!best.meets_bound) {
-    try {
-      const baselines::GreedyMrlcResult greedy =
-          baselines::greedy_mrlc(net, lifetime_bound);
-      if (greedy.meets_bound || !best.valid) {
-        best.valid = true;
-        best.tree = greedy.tree;
-        best.cost = greedy.cost;
-        best.meets_bound = greedy.meets_bound;
-        best.origin = "greedy";
-      }
-    } catch (const InfeasibleError&) {
-      // Greedy stuck; keep whatever we have.
-    }
-  }
-  return best;
-}
-
-void fill_tree_metrics(const wsn::Network& net, double lifetime_bound,
-                       AnytimeResult& out) {
-  out.cost = wsn::tree_cost(net, out.tree);
-  out.reliability = wsn::tree_reliability(net, out.tree);
-  out.lifetime = wsn::network_lifetime(net, out.tree);
-  out.objective = out.cost;
-  out.meets_bound = out.lifetime >= lifetime_bound * (1.0 - 1e-12);
-}
-
-/// Variant-flavoured incumbent: the lexicographic-AAML tree for
-/// max_lifetime (always a spanning tree, and the strongest LP-free
+/// The incumbent, seeded before any LP work: the lexicographic-AAML tree
+/// for max_lifetime (always a spanning tree, and the strongest LP-free
 /// lifetime heuristic in the repo); for the minimizing variants the MST
 /// under the variant's own edge costs — the unconstrained objective
 /// optimum, so when it satisfies the variant's rows the solve only has to
-/// certify it — with the degree-capped greedy tree as the etx fallback.
-Incumbent seed_variant_incumbent(const ProblemVariant& variant,
-                                 const wsn::Network& net, double bound) {
+/// certify it (for mrlc the costs are the topology weights -ln q, so this
+/// is `mst_baseline`'s tree).  When the MST misses the bound, the
+/// degree-capped greedy tree replaces it if it meets the bound; when
+/// neither does, the MST is kept as the best-effort fallback, reported
+/// honestly through `meets_bound = false`.
+Incumbent seed_incumbent(const ProblemVariant& variant,
+                         const wsn::Network& net, double bound) {
   Incumbent best;
   if (variant.maximizing()) {
     baselines::AamlOptions aaml_options;
@@ -99,7 +56,6 @@ Incumbent seed_variant_incumbent(const ProblemVariant& variant,
     const baselines::AamlResult aaml = baselines::aaml(net, aaml_options);
     best.valid = true;
     best.tree = aaml.tree;
-    best.cost = aaml.lifetime;
     best.meets_bound = aaml.lifetime >= bound * (1.0 - 1e-12);
     best.origin = "aaml";
     return best;
@@ -112,7 +68,6 @@ Incumbent seed_variant_incumbent(const ProblemVariant& variant,
   if (mst.has_value()) {
     best.valid = true;
     best.tree = wsn::AggregationTree::from_edges(net, mst->edges);
-    best.cost = variant.tree_objective(net, best.tree);
     best.meets_bound = variant.tree_feasible(net, best.tree, bound);
     best.origin = "mst";
   }
@@ -124,7 +79,6 @@ Incumbent seed_variant_incumbent(const ProblemVariant& variant,
       if (feasible || !best.valid) {
         best.valid = true;
         best.tree = greedy.tree;
-        best.cost = variant.tree_objective(net, greedy.tree);
         best.meets_bound = feasible;
         best.origin = "greedy";
       }
@@ -135,10 +89,10 @@ Incumbent seed_variant_incumbent(const ProblemVariant& variant,
   return best;
 }
 
-/// The non-mrlc anytime path: same typed contract, variant objective
-/// units.  Kept separate so the mrlc path below stays bit-identical.
-AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
-                                    const AnytimeOptions& options) {
+}  // namespace
+
+AnytimeResult solve_anytime(const wsn::Network& net, double bound,
+                            const AnytimeOptions& options) {
   trace::ScopedPhase phase("anytime");
   MRLC_REQUIRE(bound > 0.0, "lifetime bound must be positive");
   const ProblemVariant& variant = problem_variant(options.variant);
@@ -147,24 +101,27 @@ AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
   try {
     net.validate();
   } catch (const InfeasibleError& e) {
+    // Disconnected topology: report through the typed status like every
+    // other structural infeasibility (per-element data problems still
+    // throw invalid_argument — those are caller bugs, not instances).
     out.status = AnytimeStatus::kInfeasible;
     out.message = e.what();
     return out;
   }
 
-  const Incumbent incumbent = seed_variant_incumbent(variant, net, bound);
+  const Incumbent incumbent = seed_incumbent(variant, net, bound);
 
   IraOptions ira_options = options.ira;
-  ira_options.bound_mode = BoundMode::kDirect;
+  ira_options.bound_mode = BoundMode::kDirect;  // see AnytimeOptions
   ira_options.budget = options.budget;
   IraProgress progress;
   ira_options.progress = &progress;
 
   const bool maximizing = variant.maximizing();
   auto minimizing_dual = [&]() {
-    // Valid for the same reason as mrlc: variant edge costs are >= 0
-    // (pinned by the property battery), so 0 always bounds from below and
-    // a completed first direct-mode LP round is tighter.
+    // Any completed first-iteration LP round bounds the optimum from
+    // below in kDirect mode; with no completed round, 0 is valid because
+    // every variant's edge costs are >= 0 (pinned by the property battery).
     return progress.first_lp_valid ? std::max(progress.first_lp_objective, 0.0)
                                    : 0.0;
   };
@@ -182,6 +139,8 @@ AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
                                             ira_options);
     out.status = AnytimeStatus::kOptimal;
     out.stats = res.stats;
+    // Prefer the solver's tree; fall back to a bound-meeting incumbent only
+    // when the direct-mode relaxation overshot the bound and it did not.
     if (!res.meets_bound && incumbent.valid && incumbent.meets_bound) {
       finish_tree(incumbent.tree);
       out.from_incumbent = true;
@@ -207,6 +166,8 @@ AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
     out.message = e.what();
     return out;
   } catch (const BudgetExhaustedError& e) {
+    // Lazily registered: budget-free runs never add this key, keeping the
+    // stock bench metric documents byte-identical.
     static metrics::Counter& budget_hits =
         metrics::counter("solver.budget_hits");
     budget_hits.add();
@@ -215,6 +176,8 @@ AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
     out.status = cancelled ? AnytimeStatus::kCancelled
                            : AnytimeStatus::kFeasibleBudgetExhausted;
     if (!incumbent.valid) {
+      // No seeded tree at all: the instance is not a budget problem, so
+      // report it as an infeasibility.
       out.status = AnytimeStatus::kInfeasible;
       out.message = std::string("budget exhausted with no incumbent (") +
                     e.what() + ")";
@@ -233,104 +196,6 @@ AnytimeResult solve_anytime_variant(const wsn::Network& net, double bound,
     os << (cancelled ? "cancelled" : "budget exhausted") << " (" << e.what()
        << "); returning the " << incumbent.origin
        << " incumbent, certified gap " << out.gap;
-    out.message = os.str();
-    return out;
-  }
-}
-
-}  // namespace
-
-AnytimeResult solve_anytime(const wsn::Network& net, double lifetime_bound,
-                            const AnytimeOptions& options) {
-  if (options.variant != VariantId::kMrlc) {
-    return solve_anytime_variant(net, lifetime_bound, options);
-  }
-  trace::ScopedPhase phase("anytime");
-  MRLC_REQUIRE(lifetime_bound > 0.0, "lifetime bound must be positive");
-  try {
-    net.validate();
-  } catch (const InfeasibleError& e) {
-    // Disconnected topology: report through the typed status like every
-    // other structural infeasibility (per-element data problems still
-    // throw invalid_argument — those are caller bugs, not instances).
-    AnytimeResult out;
-    out.status = AnytimeStatus::kInfeasible;
-    out.message = e.what();
-    return out;
-  }
-
-  const Incumbent incumbent = seed_incumbent(net, lifetime_bound);
-
-  IraOptions ira_options = options.ira;
-  ira_options.bound_mode = BoundMode::kDirect;  // see AnytimeOptions
-  ira_options.budget = options.budget;
-  IraProgress progress;
-  ira_options.progress = &progress;
-
-  AnytimeResult out;
-  auto certified_bound = [&]() {
-    // Any completed first-iteration LP round bounds OPT(LC) from below in
-    // kDirect mode; with no completed round, 0 is valid (costs -ln q >= 0).
-    return progress.first_lp_valid ? std::max(progress.first_lp_objective, 0.0)
-                                   : 0.0;
-  };
-
-  try {
-    const IraResult ira =
-        IterativeRelaxation(ira_options).solve(net, lifetime_bound);
-    out.status = AnytimeStatus::kOptimal;
-    out.stats = ira.stats;
-    // Prefer the IRA tree; fall back to a bound-meeting incumbent only when
-    // the direct-mode relaxation overshot LC and the incumbent did not.
-    if (!ira.meets_bound && incumbent.valid && incumbent.meets_bound) {
-      out.tree = incumbent.tree;
-      out.from_incumbent = true;
-    } else {
-      out.tree = ira.tree;
-    }
-    fill_tree_metrics(net, lifetime_bound, out);
-    out.dual_bound = certified_bound();
-    out.gap = std::max(out.cost - out.dual_bound, 0.0);
-    std::ostringstream os;
-    os << "IRA converged after " << ira.stats.outer_iterations
-       << " outer iterations";
-    if (out.from_incumbent) {
-      os << "; returned the " << incumbent.origin
-         << " incumbent (IRA tree missed the bound, incumbent meets it)";
-    }
-    out.message = os.str();
-    return out;
-  } catch (const InfeasibleError& e) {
-    out.status = AnytimeStatus::kInfeasible;
-    out.message = e.what();
-    return out;
-  } catch (const BudgetExhaustedError& e) {
-    // Lazily registered: budget-free runs never add this key, keeping the
-    // stock bench metric documents byte-identical.
-    static metrics::Counter& budget_hits =
-        metrics::counter("solver.budget_hits");
-    budget_hits.add();
-    const bool cancelled =
-        options.budget != nullptr && options.budget->cancelled();
-    out.status = cancelled ? AnytimeStatus::kCancelled
-                           : AnytimeStatus::kFeasibleBudgetExhausted;
-    if (!incumbent.valid) {
-      // No seeded tree at all (disconnected topology): the instance is not
-      // a budget problem, re-run the diagnosis as an infeasibility.
-      out.status = AnytimeStatus::kInfeasible;
-      out.message = std::string("budget exhausted with no incumbent (") +
-                    e.what() + ")";
-      return out;
-    }
-    out.tree = incumbent.tree;
-    out.from_incumbent = true;
-    fill_tree_metrics(net, lifetime_bound, out);
-    out.dual_bound = certified_bound();
-    out.gap = std::max(out.cost - out.dual_bound, 0.0);
-    std::ostringstream os;
-    os << (cancelled ? "cancelled" : "budget exhausted") << " ("
-       << e.what() << "); returning the " << incumbent.origin
-       << " incumbent, certified gap " << out.gap << " nats";
     out.message = os.str();
     return out;
   }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file anytime.hpp
-/// \brief Deadline-aware anytime front end over the IRA solver.
+/// \brief Deadline-aware anytime front end over the variant solver.
 ///
 /// `IterativeRelaxation::solve` is all-or-nothing: it either converges or
 /// throws.  Production callers with a latency budget need the opposite
@@ -9,10 +9,11 @@
 /// is, and never turn "ran out of time" into an exception.  This layer
 /// provides that:
 ///
-/// 1. **Incumbent first.**  Before any LP work, a cheap feasible tree is
-///    seeded from the degree-capped greedy baseline and the plain MST
-///    (whichever meets the bound at lower cost), so even a budget of zero
-///    work units yields a usable answer.
+/// 1. **Incumbent first.**  Before any LP work, a cheap tree is seeded:
+///    the MST under the variant's edge costs (the global cost minimum, so
+///    it wins whenever it meets the bound), else the degree-capped greedy
+///    baseline when that meets it; max_lifetime seeds the lexicographic
+///    AAML tree.  Even a budget of zero work units yields a usable answer.
 /// 2. **Cooperative interruption.**  The shared `Budget` token is threaded
 ///    through every pivot, max-flow, and outer iteration; exhaustion
 ///    surfaces as `BudgetExhaustedError` at a deterministic checkpoint and
@@ -20,8 +21,11 @@
 /// 3. **Certified gap.**  The first outer iteration's LP optimum (captured
 ///    via `IraProgress`, valid because the run is forced into kDirect mode
 ///    where the LP relaxes the problem at LC itself) is a lower bound on
-///    OPT(LC); link costs -ln q are nonnegative, so 0 is a valid fallback
-///    bound and the reported gap is always finite.
+///    OPT(LC); every variant's edge costs are nonnegative, so 0 is a valid
+///    fallback bound and the reported gap is always finite.
+///
+/// Every variant, mrlc included, runs the same body: `solve_variant` under
+/// the budget, then the incumbent fallback.
 ///
 /// Budget exhaustion, infeasibility, and cancellation all come back as a
 /// typed `AnytimeStatus` — the only exceptions that escape are genuine
@@ -75,7 +79,7 @@ struct AnytimeResult {
   /// returned.  0 does NOT imply proven optimality (the dual bound is a
   /// relaxation), but small gaps certify near-optimality.
   double gap = 0.0;
-  /// True when `tree` is the greedy/MST incumbent rather than IRA output.
+  /// True when `tree` is the seeded incumbent rather than solver output.
   bool from_incumbent = false;
   /// IRA statistics for whatever portion of the solve ran.
   IraStats stats;
@@ -91,18 +95,20 @@ struct AnytimeOptions {
   IraOptions ira;
   /// Cooperative budget (not owned); null runs to completion.
   Budget* budget = nullptr;
-  /// Which problem to solve.  kMrlc keeps the historical code path
-  /// bit-identically; the other variants route through `solve_variant`
-  /// with variant-appropriate incumbents (MST under the variant's costs,
-  /// degree-capped greedy for etx, lexicographic AAML for max_lifetime)
-  /// and report the certified gap in the variant's objective units.
+  /// Which problem to solve.  Every variant routes through
+  /// `solve_variant` with variant-appropriate incumbents (MST under the
+  /// variant's costs, degree-capped greedy as the fallback, lexicographic
+  /// AAML for max_lifetime) and reports the certified gap in the variant's
+  /// objective units.  For mrlc the tree, gap and stats equal a direct-mode
+  /// `IterativeRelaxation` run.
   VariantId variant = VariantId::kMrlc;
 };
 
-/// \brief Solves MRLC with anytime semantics (see file comment).
+/// \brief Solves `options.variant` with anytime semantics (see file
+/// comment).
 /// \param net  validated, connected network instance.
 /// \param lifetime_bound  required network lifetime LC, in rounds (> 0).
-/// \param options  inner IRA knobs plus the budget token.
+/// \param options  inner IRA knobs, the variant, and the budget token.
 /// \return typed status, best tree + metrics, certified dual bound/gap.
 /// \throws std::invalid_argument / std::logic_error for broken
 ///         preconditions or internal invariants only — never for budget

@@ -190,16 +190,6 @@ CutLpResult solve_with_subtour_cuts(MrlcLpFormulation& formulation,
   return finish();
 }
 
-CutLpResult solve_with_subtour_cuts(MrlcLpFormulation& formulation,
-                                    const lp::SimplexSolver& solver, int max_rounds,
-                                    SeparationMode separation_mode) {
-  CutLoopOptions options;
-  options.simplex = solver.options();
-  options.max_rounds = max_rounds;
-  options.separation_mode = separation_mode;
-  return solve_with_subtour_cuts(formulation, options);
-}
-
 std::vector<std::optional<double>> lifetime_degree_caps(
     const wsn::Network& net, const std::vector<bool>& constrained, double bound) {
   MRLC_REQUIRE(static_cast<int>(constrained.size()) == net.node_count(),

@@ -137,14 +137,6 @@ struct CutLoopOptions {
 CutLpResult solve_with_subtour_cuts(MrlcLpFormulation& formulation,
                                     const CutLoopOptions& options);
 
-/// Legacy convenience overload: `solver` supplies the simplex options; the
-/// loop itself runs through a fresh warm-started `lp::LpInstance`.
-CutLpResult solve_with_subtour_cuts(MrlcLpFormulation& formulation,
-                                    const lp::SimplexSolver& solver,
-                                    int max_rounds = 200,
-                                    SeparationMode separation_mode =
-                                        SeparationMode::kExact);
-
 /// \brief Computes the degree caps encoding "lifetime(v) >= bound".
 /// \param net  the network (supplies energies and the sink id).
 /// \param constrained  per-vertex membership in W; unconstrained vertices

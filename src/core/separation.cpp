@@ -286,13 +286,15 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
 
   Support support(g, edge_values);
   std::set<std::vector<graph::VertexId>> seen;
-  auto consider = [&](std::vector<graph::VertexId> subset) {
+  // Every caller passes a sorted set: Stage 1 collects members in
+  // ascending id, the pool stores sorted sets, and both cut functions sort
+  // their subsets.
+  auto consider = [&](const std::vector<graph::VertexId>& subset) {
     if (subset.size() < 2 || static_cast<int>(subset.size()) >= n) return false;
     const double internal = support.internal_weight(subset);
     if (internal <= static_cast<double>(subset.size()) - 1.0 + tolerance) {
       return false;
     }
-    std::sort(subset.begin(), subset.end());
     if (seen.insert(subset).second) {
       violated_sets.add();
       result.push_back(subset);
@@ -306,13 +308,12 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
     if (pool) {
       for (const auto& subset : result) pool->remember(subset);
     }
-    return result;
+    return std::move(result);
   };
 
   // Stage 1: connected components of the edges with x_e > tolerance,
   // labelled straight off the adjacency lists (which hold alive edges
-  // only) in smallest-vertex order, as `graph::connected_components` would
-  // label a filtered copy.
+  // only) in smallest-vertex order.
   {
     std::vector<int> label(static_cast<std::size_t>(n), -1);
     std::vector<graph::VertexId> frontier;
@@ -340,7 +341,7 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
       for (graph::VertexId v = 0; v < n; ++v) {
         members[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])].push_back(v);
       }
-      for (auto& subset : members) consider(std::move(subset));
+      for (const auto& subset : members) consider(subset);
     }
     if (!result.empty()) return finish();
   }
@@ -348,23 +349,27 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
   // Stage 1.5: recheck pooled sets — an O(|supp|) sum per set against zero
   // max-flows.  Sets that separated an earlier fractional point of the
   // same instance frequently separate the next one too.
+  // Each set is validated in place; only the fault point makes a copy.
   if (pool) {
+    std::vector<graph::VertexId> corrupted;
     for (const auto& subset : pool->sets()) {
-      std::vector<graph::VertexId> candidate = subset;
+      const std::vector<graph::VertexId>* candidate = &subset;
       // Fault point: the pooled memory hands back a corrupted set (as a
       // buggy cross-iteration cache would).
-      if (fault::fire("cutpool.corrupt") && !candidate.empty()) {
-        candidate.push_back(candidate.front());  // duplicate => invalid
+      if (fault::fire("cutpool.corrupt") && !subset.empty()) {
+        corrupted = subset;
+        corrupted.push_back(corrupted.front());  // duplicate => invalid
+        candidate = &corrupted;
       }
-      if (!pooled_set_ok(candidate, n)) {
+      if (!pooled_set_ok(*candidate, n)) {
         // Audited recovery: re-read the pristine pooled set; if even the
         // source fails validation, skip it — a dropped recheck only costs
         // a max-flow later, never a wrong row.
-        candidate = subset;
-        if (!pooled_set_ok(candidate, n)) continue;
+        if (candidate == &subset || !pooled_set_ok(subset, n)) continue;
+        candidate = &subset;
         fault::note_recovered("cutpool.corrupt");
       }
-      if (consider(std::move(candidate))) {
+      if (consider(*candidate)) {
         pool_hits.add();
         if (result.size() >= 4) break;
       }
@@ -485,7 +490,7 @@ std::vector<std::vector<graph::VertexId>> find_violated_subtours(
         }
         fault::note_recovered("separation.flow_fail");
       }
-      if (cut.f_value < 2.0 - tolerance) consider(std::move(cut.subset));
+      if (cut.f_value < 2.0 - tolerance) consider(cut.subset);
     }
     // A couple of cuts per round is enough to make progress; adding every
     // violated set found by the sweep bloats the LP with near-duplicates.

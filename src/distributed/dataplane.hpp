@@ -38,14 +38,6 @@ namespace mrlc::dist {
 
 enum class RepairMode { kNone, kOracle, kEstimator };
 
-/// Which engine advances the simulation.  Both are bit-identical given
-/// the same options (the parity tests gate this): `kLegacy` is the
-/// serial round loop kept as the oracle, `kDes` the parallel
-/// conservative engine (statically sharded node ranges, each swept in
-/// (round, node) order and advanced in bounded windows separated by
-/// serial checkpoints — see docs/algorithms.md §18).
-enum class DataPlaneEngine { kLegacy, kDes };
-
 struct DataPlaneOptions {
   int rounds = 400;
   radio::ArqPolicy arq;
@@ -59,14 +51,11 @@ struct DataPlaneOptions {
   double probe_probability = 0.1;
   std::uint64_t seed = 0xDA7A91A7EULL;
   /// Optional cooperative budget (not owned): one unit per simulated round,
-  /// charged serially at each window boundary (the legacy engine uses the
-  /// same window grouping, so both engines consume the budget
-  /// identically).  When it runs out the simulation stops early and every
-  /// per-round average is normalized by the rounds actually completed
-  /// (`DataPlaneResult::rounds`).
+  /// charged serially at each window boundary, so the budget is consumed
+  /// identically for every thread count.  When it runs out the simulation
+  /// stops early and every per-round average is normalized by the rounds
+  /// actually completed (`DataPlaneResult::rounds`).
   Budget* budget = nullptr;
-  /// Engine selector; results are bit-identical either way.
-  DataPlaneEngine engine = DataPlaneEngine::kDes;
   /// Rounds per conservative window in `kNone` mode (repair modes force a
   /// width of 1: a repair committed in round r changes the tree round r+1
   /// reads, which bounds the lookahead to one round).  Wider windows
@@ -119,7 +108,10 @@ struct DataPlaneResult {
   bool bound_met = false;
 };
 
-/// \brief Runs the closed loop for `options.rounds` rounds.
+/// \brief Runs the closed loop for `options.rounds` rounds on the default
+/// thread pool: a sharded (round, node) sweep in bounded windows with
+/// serial checkpoints (docs/algorithms.md §18), bit-identical for every
+/// thread count.
 /// \param net  taken by value: churn mutates the link qualities as the run
 ///        progresses.
 /// \param tree  the construction-time aggregation tree (e.g. from IRA).

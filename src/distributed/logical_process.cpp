@@ -58,7 +58,7 @@ SimState::SimState(wsn::Network net_in, wsn::AggregationTree tree,
       maintainer(believed, std::move(tree), lifetime_bound_in,
                  options_in.maintainer) {
   // Per-entity streams, forked serially in a fixed order so the plan is
-  // identical for every engine and thread count.
+  // identical for every thread count.
   Rng churn_base = nth_fork(options->seed, 1);
   churn_rng.reserve(static_cast<std::size_t>(links));
   for (wsn::EdgeId e = 0; e < links; ++e) {
@@ -174,8 +174,8 @@ void SimState::churn_link(wsn::EdgeId e, std::vector<LinkEvent>* fired) {
   auto event =
       churn.step_link(net, e, churn_rng[static_cast<std::size_t>(e)]);
   // Re-anchor the channel immediately: sub-threshold drift changes the
-  // loss process even when no event fires (the legacy loop's full
-  // `ChannelSet::sync` did the same link-by-link, and sync draws no RNG).
+  // loss process even when no event fires (`ChannelSet::sync_link` draws
+  // no RNG).
   channels.sync_link(e, net.link_prr(e));
   if (fired != nullptr && event.has_value()) fired->push_back(*event);
 }
@@ -354,7 +354,7 @@ void SimState::commit_window(int planned) {
   // Energy + work tallies.  Each `consumed[p]` slot is written by exactly
   // one chunk, and its terms arrive in a fixed per-slot order (rounds
   // ascending; self before children, children ascending) — so the merge
-  // is bit-identical whether the chunks run serially or on the pool.
+  // is bit-identical for every pool width.
   const int chunks = chunk_count();
   auto body = [&](int c) {
     const wsn::VertexId lo = static_cast<wsn::VertexId>(
@@ -385,11 +385,7 @@ void SimState::commit_window(int planned) {
     }
     tallies[static_cast<std::size_t>(c)] = t;
   };
-  if (parallel_commit) {
-    default_pool().for_each(chunks, body);
-  } else {
-    for (int c = 0; c < chunks; ++c) body(c);
-  }
+  default_pool().for_each(chunks, body);
 
   Tally sum;
   for (int c = 0; c < chunks; ++c) {

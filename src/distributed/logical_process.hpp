@@ -1,28 +1,26 @@
 #pragma once
 
 /// \file logical_process.hpp
-/// \brief Shared simulation state and per-node round bodies of the
-/// data-plane engines.
+/// \brief Simulation state and per-node round bodies of the data-plane
+/// engine.
 ///
 /// `run_dataplane` is split into two layers:
 ///
-/// * `SimState` — everything both engines share: the true and believed
-///   networks, churn/channel/estimator/maintainer objects, per-entity
-///   forked RNG streams, cached tree structure (parents, children CSR,
-///   BFS order, the on-tree mask, link ownership), the per-window
-///   transaction outcome slots, and the result accumulators.  It also
-///   holds the per-node round bodies: node v's *logical process* is the
-///   ARQ transaction of v, the churn + channel re-derivation of the
-///   links v *owns* (on-tree link -> owned by the child endpoint;
-///   off-tree link -> owned by min(u, v)), and in estimator mode the
-///   probe beacons of v's owned idle links.  Every random draw comes
-///   from a stream forked per entity (node or link), so results do not
-///   depend on which worker runs which node.  All *merge* work
-///   (readings, energy, counters, repair events) lives here as
-///   serial-checkpoint methods, so both engines execute byte-identical
-///   commit code.
-/// * the drivers — `des_engine.hpp` (parallel sharded (round, node)
-///   sweep) and the legacy serial loop in `dataplane.cpp`.
+/// * `SimState` — the true and believed networks, churn/channel/
+///   estimator/maintainer objects, per-entity forked RNG streams, cached
+///   tree structure (parents, children CSR, BFS order, the on-tree mask,
+///   link ownership), the per-window transaction outcome slots, and the
+///   result accumulators.  It also holds the per-node round bodies: node
+///   v's *logical process* is the ARQ transaction of v, the churn +
+///   channel re-derivation of the links v *owns* (on-tree link -> owned
+///   by the child endpoint; off-tree link -> owned by min(u, v)), and in
+///   estimator mode the probe beacons of v's owned idle links.  Every
+///   random draw comes from a stream forked per entity (node or link), so
+///   results do not depend on which worker runs which node.  All *merge*
+///   work (readings, energy, counters, repair events) lives here as
+///   serial-checkpoint methods.
+/// * the driver — `run_dataplane` in `dataplane.cpp`, a sharded
+///   (round, node) sweep on the default pool.
 ///
 /// Determinism argument (see docs/algorithms.md §18): each link and each
 /// node is touched by exactly one logical process per round, every draw
@@ -73,8 +71,8 @@ struct Tally {
   unsigned long long slots = 0;
 };
 
-/// Shared state of both data-plane engines.  Public-by-design: the
-/// engines are the only consumers and live in this module.
+/// State of the data-plane engine.  Public-by-design: the driver in
+/// `dataplane.cpp` is the only consumer and lives in this module.
 struct SimState {
   SimState(wsn::Network net_in, wsn::AggregationTree tree,
            double lifetime_bound_in, const DataPlaneOptions& options_in,
@@ -85,12 +83,11 @@ struct SimState {
   double lifetime_bound = 0.0;
   int n = 0;
   int links = 0;
-  int shard_count = 1;     ///< fired-event list granularity (DES shards)
+  int shard_count = 1;     ///< sweep shards = fired-event lists
   int window_rounds = 1;   ///< effective window width (1 in repair modes)
   SlotTime round_span = 1; ///< virtual-time slots reserved per round
   double tx_joules = 0.0;
   double rx_joules = 0.0;
-  bool parallel_commit = false;  ///< DES runs the commit map on the pool
 
   // --- simulation objects ------------------------------------------
   wsn::Network net;       ///< ground truth; churn mutates it
@@ -120,7 +117,7 @@ struct SimState {
   int window_start = 0;
   std::vector<TxnOutcome> txn;  ///< n * window_rounds slots
   /// Per-shard fired-event lists, merged (sorted by link id) at the
-  /// serial checkpoint.  The legacy engine uses shard 0 only.
+  /// serial checkpoint.
   std::vector<std::vector<LinkEvent>> fired_churn;
   std::vector<std::vector<LinkEvent>> fired_est;
   std::vector<char> reach;      ///< readings scratch (per-node)
@@ -153,7 +150,7 @@ struct SimState {
                static_cast<std::size_t>(k)];
   }
   /// Commit-map chunk count; a function of `n` only so the map's
-  /// floating-point grouping is identical for every engine/thread count.
+  /// floating-point grouping is identical for every thread count.
   int chunk_count() const;
   bool estimator_mode() const {
     return options->repair == RepairMode::kEstimator;
@@ -186,13 +183,13 @@ struct SimState {
   void probe_owned(wsn::VertexId v, std::vector<LinkEvent>* fired);
   /// Node `v`'s whole round `k` of the window in the fused modes:
   /// churn its owned links, transact over the freshly re-anchored
-  /// channel, then probe — the program order of the legacy round.
+  /// channel, then probe.
   /// Churn events are collected in `fired_churn` (estimator mode's
   /// pending marks), estimator events in `fired_est`; either may be null.
   void node_round(wsn::VertexId v, int k, std::vector<LinkEvent>* fired_churn,
                   std::vector<LinkEvent>* fired_est);
 
-  // --- serial checkpoint pieces (identical code in both engines) ---
+  // --- serial checkpoint pieces --------------------------------------
   /// Drains the per-shard lists into one vector sorted by link id.
   std::vector<LinkEvent> drain_sorted(std::vector<std::vector<LinkEvent>>& fired);
   /// kOracle: feeds the drained churn events to the maintainer.
@@ -210,7 +207,7 @@ struct SimState {
   void end_window(int planned);
 
   /// Normalizes the accumulators into `out` and bumps the dataplane.*
-  /// counters (both engines; the DES driver adds its des.* instruments).
+  /// counters (the driver adds its des.* instruments).
   void finalize();
 };
 

@@ -58,14 +58,4 @@ std::vector<EdgeId> Graph::alive_edge_ids() const {
   return ids;
 }
 
-Graph Graph::filtered(const std::vector<bool>& keep) const {
-  MRLC_REQUIRE(keep.size() == edges_.size(), "mask size must equal edge count");
-  Graph out = *this;
-  for (EdgeId id = 0; id < edge_count(); ++id) {
-    if (!keep[static_cast<std::size_t>(id)]) out.remove_edge(id);
-  }
-  return out;
-}
-
-
 }  // namespace mrlc::graph

@@ -7,7 +7,7 @@
 /// double weight (the MRLC modules store the link *cost* `-log q_e` there)
 /// and keep the identifier they were added with, so algorithm outputs
 /// (MST edge sets, LP variables, tree edge sets) can refer to edges by index
-/// across graph copies and filtered subgraphs.
+/// across graph copies and after `remove_edge`.
 
 #include <cstddef>
 #include <span>
@@ -71,14 +71,7 @@ class Graph {
   /// Returns the id of an arbitrary edge joining `u` and `v`, or -1.
   EdgeId find_edge(VertexId u, VertexId v) const;
 
-  /// Returns a copy containing only edges with `keep[id]` true.  Vertex set
-  /// and *edge ids are preserved*: the result has the same edge ids for the
-  /// kept edges and placeholder zero-weight self-records are avoided by
-  /// storing an explicit alive mask.  (Implementation: we keep all edge
-  /// records but drop dead ones from adjacency; `is_alive` reports status.)
-  Graph filtered(const std::vector<bool>& keep) const;
-
-  /// False if the edge was removed by `filtered`/`remove_edge`.
+  /// False if the edge was removed by `remove_edge`.
   bool is_alive(EdgeId id) const {
     MRLC_REQUIRE(id >= 0 && id < edge_count(), "edge id out of range");
     return alive_[static_cast<std::size_t>(id)];

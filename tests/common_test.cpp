@@ -268,28 +268,30 @@ namespace {
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(500);
-  parallel_for(500, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+  default_pool().for_each(500,
+                          [&](int i) { hits[static_cast<std::size_t>(i)]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyAndSingle) {
   int calls = 0;
-  parallel_for(0, [&](int) { ++calls; });
+  default_pool().for_each(0, [&](int) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(1, [&](int i) { EXPECT_EQ(i, 0); ++calls; });
+  default_pool().for_each(1, [&](int i) { EXPECT_EQ(i, 0); ++calls; });
   EXPECT_EQ(calls, 1);
-  EXPECT_THROW(parallel_for(-1, [](int) {}), std::invalid_argument);
+  EXPECT_THROW(default_pool().for_each(-1, [](int) {}), std::invalid_argument);
 }
 
 TEST(ParallelFor, SingleThreadModeIsOrdered) {
   std::vector<int> order;
-  parallel_for(10, [&](int i) { order.push_back(i); }, /*max_threads=*/1);
+  default_pool().for_each(10, [&](int i) { order.push_back(i); },
+                          /*max_workers=*/1);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(ParallelFor, PropagatesBodyExceptions) {
   EXPECT_THROW(
-      parallel_for(100, [&](int i) {
+      default_pool().for_each(100, [&](int i) {
         if (i == 57) throw std::runtime_error("boom");
       }),
       std::runtime_error);
@@ -302,7 +304,8 @@ TEST(ParallelFor, ResultsMatchSequential) {
     Rng rng(static_cast<std::uint64_t>(i));
     return rng.uniform() + i;
   };
-  parallel_for(1000, [&](int i) { par[static_cast<std::size_t>(i)] = work(i); });
+  default_pool().for_each(
+      1000, [&](int i) { par[static_cast<std::size_t>(i)] = work(i); });
   for (int i = 0; i < 1000; ++i) seq[static_cast<std::size_t>(i)] = work(i);
   EXPECT_EQ(par, seq);
 }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,8 +30,9 @@ struct ThreadGuard {
   ~ThreadGuard() { set_default_thread_count(saved); }
 };
 
-/// The counters both engines must move identically, plus the DES-only
-/// instruments (compared between DES runs, skipped cross-engine).
+/// The counters every run's golden digest pins, plus the sweep
+/// instruments (compared across thread counts, and counted exactly by
+/// `EventAccounting`).
 const char* const kSharedCounters[] = {
     "dataplane.rounds", "dataplane.degraded_events", "dataplane.improved_events",
     "dataplane.repairs_applied", "dataplane.detections",
@@ -39,6 +42,10 @@ const char* const kSharedCounters[] = {
 const char* const kDesCounters[] = {"dataplane.events_scheduled",
                                     "dataplane.events_processed", "des.windows",
                                     "des.checkpoints"};
+/// Names of the four histogram values `counter_snapshot` appends.
+const char* const kHistogramSums[] = {
+    "arq.attempts_per_transaction.count", "arq.attempts_per_transaction.sum",
+    "dataplane.detection_lag_rounds.count", "dataplane.detection_lag_rounds.sum"};
 
 std::vector<long long> counter_snapshot(bool include_des) {
   std::vector<long long> values;
@@ -110,11 +117,105 @@ DataPlaneResult run_with(const Instance& inst, const DataPlaneOptions& options) 
   return run_dataplane(inst.net, inst.tree, inst.bound, options);
 }
 
-// ------------------------------------------------------------------ parity --
+// ----------------------------------------------------------------- digests --
 
-/// Every repair mode x channel model x seed: the event engine and the
-/// legacy serial loop must produce byte-identical results and move the
-/// shared counters by the same amounts.
+/// One run's golden digest: every DataPlaneResult field (doubles as their
+/// IEEE-754 bit patterns in hex) followed by the counter/histogram deltas
+/// of `counter_snapshot`, as space-separated name=value tokens.
+std::vector<std::string> digest(const DataPlaneResult& r,
+                                const std::vector<long long>& counters) {
+  std::vector<std::string> tokens;
+  auto num = [&](const char* name, long long x) {
+    tokens.push_back(std::string(name) + "=" + std::to_string(x));
+  };
+  auto bits = [&](const char* name, double x) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
+    tokens.push_back(std::string(name) + "=" + hex);
+  };
+  num("rounds", r.rounds);
+  bits("delivery_ratio", r.delivery_ratio);
+  bits("round_success_ratio", r.round_success_ratio);
+  bits("avg_data_tx_per_round", r.avg_data_tx_per_round);
+  bits("avg_ack_tx_per_round", r.avg_ack_tx_per_round);
+  bits("avg_slots_per_round", r.avg_slots_per_round);
+  num("duplicates_suppressed", r.duplicates_suppressed);
+  num("packets_dropped", r.packets_dropped);
+  bits("joules_per_reading", r.joules_per_reading);
+  bits("measured_lifetime_rounds", r.measured_lifetime_rounds);
+  num("degraded_events", r.degraded_events);
+  num("improved_events", r.improved_events);
+  num("repairs_applied", r.repairs_applied);
+  num("detections", r.detections);
+  bits("mean_detection_lag_rounds", r.mean_detection_lag_rounds);
+  num("false_positive_events", r.false_positive_events);
+  num("missed_events", r.missed_events);
+  bits("estimate_mae", r.estimate_mae);
+  bits("final_reliability", r.final_reliability);
+  bits("final_lifetime", r.final_lifetime);
+  num("bound_met", r.bound_met ? 1 : 0);
+  std::size_t i = 0;
+  for (const char* name : kSharedCounters) num(name, counters[i++]);
+  for (const char* name : kHistogramSums) num(name, counters[i++]);
+  return tokens;
+}
+
+/// The committed golden digests (tests/data/dataplane_goldens.txt), keyed
+/// by case label.  They were captured from the serial round loop that the
+/// sharded sweep replaced, so they pin today's engine to that reference.
+const std::map<std::string, std::vector<std::string>>& goldens() {
+  static const std::map<std::string, std::vector<std::string>> table = [] {
+    std::map<std::string, std::vector<std::string>> out;
+    std::ifstream in(MRLC_DATAPLANE_GOLDENS);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::string label, token;
+      fields >> label;
+      while (fields >> token) out[label].push_back(token);
+    }
+    return out;
+  }();
+  return table;
+}
+
+/// Runs `options` on `inst` at 1 and at 8 threads and compares each
+/// run's digest (plus `Budget::used()` when `budget_limit` >= 0) with the
+/// golden line `label`, token by token.
+void expect_golden(const std::string& label, const Instance& inst,
+                   DataPlaneOptions options, long long budget_limit = -1) {
+  const auto found = goldens().find(label);
+  ASSERT_NE(found, goldens().end()) << "no golden digest for " << label;
+  const std::vector<std::string>& golden = found->second;
+  for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(label + " threads=" + std::to_string(threads));
+    ThreadGuard guard(threads);
+    Budget budget;
+    if (budget_limit >= 0) {
+      budget.set_work_limit(budget_limit);
+      options.budget = &budget;
+    }
+    const auto before = counter_snapshot(false);
+    const DataPlaneResult result = run_with(inst, options);
+    std::vector<std::string> tokens =
+        digest(result, counter_delta(before, counter_snapshot(false)));
+    if (budget_limit >= 0) {
+      tokens.push_back("budget.used=" + std::to_string(budget.used()));
+    }
+    options.budget = nullptr;
+    ASSERT_EQ(tokens.size(), golden.size());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      EXPECT_EQ(tokens[i], golden[i]);
+    }
+  }
+}
+
+// ------------------------------------------------------------------ golden --
+
+/// Every repair mode x channel model x seed matches its golden digest —
+/// result bits and counter deltas — at 1 and at 8 threads.
 TEST(DesEngine, EngineParitySweep) {
   const RepairMode modes[] = {RepairMode::kNone, RepairMode::kOracle,
                               RepairMode::kEstimator};
@@ -130,23 +231,11 @@ TEST(DesEngine, EngineParitySweep) {
         options.seed = seed * 1000 + 7;
         options.channel.model = burst ? radio::ChannelModel::kGilbertElliott
                                       : radio::ChannelModel::kBernoulli;
-        const std::string label =
-            "mode=" + std::to_string(static_cast<int>(mode)) +
-            " burst=" + std::to_string(burst) + " seed=" + std::to_string(seed);
-
-        options.engine = DataPlaneEngine::kLegacy;
-        auto before = counter_snapshot(false);
-        const DataPlaneResult legacy = run_with(inst, options);
-        const auto legacy_delta =
-            counter_delta(before, counter_snapshot(false));
-
-        options.engine = DataPlaneEngine::kDes;
-        before = counter_snapshot(false);
-        const DataPlaneResult des = run_with(inst, options);
-        const auto des_delta = counter_delta(before, counter_snapshot(false));
-
-        expect_bitwise_equal(legacy, des, label);
-        EXPECT_EQ(legacy_delta, des_delta) << label;
+        expect_golden("EngineParitySweep/mode=" +
+                          std::to_string(static_cast<int>(mode)) +
+                          "/burst=" + std::to_string(burst) +
+                          "/seed=" + std::to_string(seed),
+                      inst, options);
       }
     }
   }
@@ -160,7 +249,6 @@ TEST(DesEngine, ThreadCountInvariance) {
     DataPlaneOptions options;
     options.rounds = 48;
     options.repair = mode;
-    options.engine = DataPlaneEngine::kDes;
     options.channel.model = radio::ChannelModel::kGilbertElliott;
 
     DataPlaneResult one, eight;
@@ -184,25 +272,21 @@ TEST(DesEngine, ThreadCountInvariance) {
 }
 
 /// More workers than nodes leaves some shards empty; they sweep nothing
-/// and the result still matches the legacy loop in every repair mode.
+/// and the result still matches its golden digest in every repair mode.
 TEST(DesEngine, MoreWorkersThanNodes) {
   Rng rng(3);
   wsn::Network net = mrlc::testing::small_random_network(3, 1.0, rng);
   wsn::AggregationTree tree = mrlc::testing::random_tree(net, rng);
   const double bound = 0.5 * wsn::network_lifetime(net, tree);
   const Instance inst{std::move(net), std::move(tree), bound};
-  ThreadGuard guard(8);
   for (const RepairMode mode :
        {RepairMode::kNone, RepairMode::kOracle, RepairMode::kEstimator}) {
     DataPlaneOptions options;
     options.rounds = 30;
     options.repair = mode;
-    options.engine = DataPlaneEngine::kLegacy;
-    const DataPlaneResult legacy = run_with(inst, options);
-    options.engine = DataPlaneEngine::kDes;
-    const DataPlaneResult des = run_with(inst, options);
-    expect_bitwise_equal(
-        legacy, des, "n=3 threads=8 mode=" + std::to_string(static_cast<int>(mode)));
+    expect_golden("MoreWorkersThanNodes/mode=" +
+                      std::to_string(static_cast<int>(mode)),
+                  inst, options);
   }
 }
 
@@ -212,7 +296,6 @@ TEST(DesEngine, WindowWidthInvariance) {
   DataPlaneOptions options;
   options.rounds = 50;
   options.repair = RepairMode::kNone;
-  options.engine = DataPlaneEngine::kDes;
   options.window_rounds = 1;
   const DataPlaneResult narrow = run_with(inst, options);
   options.window_rounds = 8;
@@ -223,29 +306,20 @@ TEST(DesEngine, WindowWidthInvariance) {
   expect_bitwise_equal(narrow, whole, "W=1 vs W=50");
 }
 
-/// A budget that dies mid-run truncates both engines at the same round.
+/// A budget that dies mid-run truncates the run at its golden round and
+/// charge count for every thread count.
 TEST(DesEngine, BudgetTruncationParity) {
   const Instance inst = make_instance(33);
   DataPlaneOptions options;
   options.rounds = 200;
   options.repair = RepairMode::kNone;
   options.window_rounds = 8;
+  expect_golden("BudgetTruncationParity/budget=37", inst, options, 37);
 
-  Budget legacy_budget;
-  legacy_budget.set_work_limit(37);
-  options.budget = &legacy_budget;
-  options.engine = DataPlaneEngine::kLegacy;
-  const DataPlaneResult legacy = run_with(inst, options);
-
-  Budget des_budget;
-  des_budget.set_work_limit(37);
-  options.budget = &des_budget;
-  options.engine = DataPlaneEngine::kDes;
-  const DataPlaneResult des = run_with(inst, options);
-
-  EXPECT_EQ(legacy.rounds, 37);
-  expect_bitwise_equal(legacy, des, "budget=37");
-  EXPECT_EQ(legacy_budget.used(), des_budget.used());
+  Budget budget;
+  budget.set_work_limit(37);
+  options.budget = &budget;
+  EXPECT_EQ(run_with(inst, options).rounds, 37);
 }
 
 /// The periodic flush writes a parseable snapshot and counts itself.
@@ -255,7 +329,6 @@ TEST(DesEngine, MetricsFlushWritesSnapshots) {
   DataPlaneOptions options;
   options.rounds = 32;
   options.repair = RepairMode::kNone;
-  options.engine = DataPlaneEngine::kDes;
   options.window_rounds = 4;
   options.metrics_flush_every = 2;  // every other window -> 4 snapshots
   options.metrics_flush_path = path;
@@ -289,7 +362,6 @@ TEST(DesEngine, EventAccounting) {
     options.rounds = 20;
     options.window_rounds = 8;
     options.repair = mode;
-    options.engine = DataPlaneEngine::kDes;
     const bool none = mode == RepairMode::kNone;
     const long long wakes = mode == RepairMode::kOracle ? 2 : 1;
     const long long windows = none ? 3 : options.rounds;  // ceil(20 / 8) or 20

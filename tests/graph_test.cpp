@@ -81,17 +81,6 @@ TEST(Graph, RemoveEdgeUpdatesAdjacency) {
   EXPECT_EQ(g.alive_edge_count(), 2);
 }
 
-TEST(Graph, FilteredPreservesEdgeIds) {
-  Graph g = triangle();
-  const Graph f = g.filtered({true, false, true});
-  EXPECT_EQ(f.alive_edge_count(), 2);
-  EXPECT_TRUE(f.is_alive(0));
-  EXPECT_FALSE(f.is_alive(1));
-  EXPECT_TRUE(f.is_alive(2));
-  EXPECT_DOUBLE_EQ(f.edge(2).weight, 3.0);
-  EXPECT_THROW(g.filtered({true}), std::invalid_argument);
-}
-
 TEST(Graph, SetWeight) {
   Graph g = triangle();
   g.set_weight(2, 9.0);

@@ -224,7 +224,7 @@ TEST_F(MetricsTest, ParallelForPhasesDoNotCorruptCursor) {
   // Phases opened on worker threads must not leak into each other: the
   // cursor is thread-local, so each worker builds its own path from root.
   std::atomic<int> entered{0};
-  parallel_for(64, [&](int) {
+  default_pool().for_each(64, [&](int) {
     trace::ScopedPhase phase("test_parallel_phase");
     entered.fetch_add(1, std::memory_order_relaxed);
   });

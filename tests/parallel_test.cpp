@@ -170,7 +170,7 @@ TEST(DefaultPool, SetDefaultThreadCountResizesTheSharedPool) {
   set_default_thread_count(2);
   EXPECT_EQ(default_thread_count(), 2u);
   std::atomic<int> count{0};
-  parallel_for(128, [&](int) { count.fetch_add(1); });
+  default_pool().for_each(128, [&](int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 128);
   set_default_thread_count(before);
 }

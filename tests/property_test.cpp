@@ -285,13 +285,13 @@ TEST_P(SubtourIntegralitySweep, ExtremePointsAreIntegral) {
   const int n = GetParam().nodes;
   const double p = GetParam().density;
   Rng rng(static_cast<std::uint64_t>(n) * 31 + 7);
-  const lp::SimplexSolver solver;
   for (int trial = 0; trial < 6; ++trial) {
     const wsn::Network net = small_random_network(n, p, rng, 0.3, 1.0);
     core::MrlcLpFormulation formulation(
         net.topology(),
         std::vector<std::optional<double>>(static_cast<std::size_t>(n)));
-    const core::CutLpResult res = core::solve_with_subtour_cuts(formulation, solver);
+    const core::CutLpResult res =
+        core::solve_with_subtour_cuts(formulation, core::CutLoopOptions{});
     ASSERT_EQ(res.status, lp::SolveStatus::kOptimal);
     for (double x : res.edge_values) {
       EXPECT_TRUE(x < 1e-6 || x > 1.0 - 1e-6) << "fractional extreme point";

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -98,25 +101,55 @@ TEST(Budget, UnlimitedNeverExhausts) {
 
 // -------------------------------------------------------------- anytime --
 
+/// Every variant, mrlc included, runs the same anytime body; for mrlc an
+/// unlimited run must reproduce a direct-mode IRA run exactly — tree,
+/// metrics, every IraStats field — and certify with that run's first LP
+/// optimum.
 TEST(Anytime, UnlimitedRunMatchesPlainIra) {
   const testing::ToyNetwork toy;
-  const double bound = baselines::mst_baseline(toy.net).lifetime;
+  const wsn::Network dfl = scenario::make_dfl_system().network;
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const wsn::Network* net : {&toy.net, &dfl}) {
+    SCOPED_TRACE(net == &dfl ? "dfl" : "toy");
+    const double bound = baselines::mst_baseline(*net).lifetime;
 
-  core::IraOptions direct;
-  direct.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult plain =
-      core::IterativeRelaxation(direct).solve(toy.net, bound);
+    core::IraOptions direct;
+    direct.bound_mode = core::BoundMode::kDirect;
+    core::IraProgress progress;
+    direct.progress = &progress;
+    const core::IraResult plain =
+        core::IterativeRelaxation(direct).solve(*net, bound);
 
-  const core::AnytimeResult anytime = core::solve_anytime(toy.net, bound);
-  EXPECT_EQ(anytime.status, core::AnytimeStatus::kOptimal);
-  EXPECT_FALSE(anytime.from_incumbent);
-  EXPECT_DOUBLE_EQ(anytime.cost, plain.cost);
-  EXPECT_EQ(wsn::tree_to_string(anytime.tree), wsn::tree_to_string(plain.tree));
-  EXPECT_TRUE(anytime.meets_bound);
-  // The certified gap is finite and consistent with the bound.
-  EXPECT_GE(anytime.dual_bound, 0.0);
-  EXPECT_GE(anytime.gap, 0.0);
-  EXPECT_NEAR(anytime.gap, anytime.cost - anytime.dual_bound, 1e-9);
+    const core::AnytimeResult anytime = core::solve_anytime(*net, bound);
+    EXPECT_EQ(anytime.status, core::AnytimeStatus::kOptimal);
+    EXPECT_FALSE(anytime.from_incumbent);
+    EXPECT_EQ(wsn::tree_to_string(anytime.tree), wsn::tree_to_string(plain.tree));
+    EXPECT_EQ(bits(anytime.cost), bits(plain.cost));
+    EXPECT_EQ(bits(anytime.objective), bits(plain.cost));
+    EXPECT_EQ(bits(anytime.reliability), bits(plain.reliability));
+    EXPECT_EQ(bits(anytime.lifetime), bits(plain.lifetime));
+    EXPECT_EQ(anytime.meets_bound, plain.meets_bound);
+    EXPECT_TRUE(anytime.meets_bound);
+
+    const core::IraStats& a = anytime.stats;
+    const core::IraStats& p = plain.stats;
+    EXPECT_EQ(a.outer_iterations, p.outer_iterations);
+    EXPECT_EQ(a.lp_solves, p.lp_solves);
+    EXPECT_EQ(a.simplex_iterations, p.simplex_iterations);
+    EXPECT_EQ(a.cuts_added, p.cuts_added);
+    EXPECT_EQ(a.edges_removed, p.edges_removed);
+    EXPECT_EQ(a.constraints_removed, p.constraints_removed);
+    EXPECT_EQ(a.cold_fallbacks, p.cold_fallbacks);
+    EXPECT_EQ(a.used_fallback, p.used_fallback);
+
+    // The certified bound is the plain run's first LP optimum, bit for bit.
+    ASSERT_TRUE(progress.first_lp_valid);
+    EXPECT_EQ(bits(anytime.dual_bound),
+              bits(std::max(progress.first_lp_objective, 0.0)));
+    EXPECT_GE(anytime.gap, 0.0);
+    EXPECT_EQ(bits(anytime.gap),
+              bits(std::max(anytime.cost - anytime.dual_bound, 0.0)));
+  }
 }
 
 TEST(Anytime, ZeroBudgetReturnsTheSeedIncumbent) {
@@ -196,6 +229,32 @@ TEST(Anytime, QuarterBudgetYieldsFeasibleTreeDeterministically) {
   EXPECT_EQ(wsn::tree_to_string(wide.tree), wsn::tree_to_string(serial.tree));
   EXPECT_DOUBLE_EQ(wide.cost, serial.cost);
   EXPECT_DOUBLE_EQ(wide.gap, serial.gap);
+
+  // Golden outcome of this interrupted run, captured before mrlc moved
+  // onto the shared variant route: the cutoff point, the returned
+  // incumbent and its certified gap must not move.
+  EXPECT_EQ(meter.used(), 81);
+  EXPECT_EQ(serial_used, 21);
+  EXPECT_TRUE(serial.from_incumbent);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.gap), 0x3f60689af237fca0ULL);
+  EXPECT_EQ(wsn::tree_to_string(serial.tree),
+            "mrlc-tree v1\n"
+            "nodes 16\n"
+            "parent 1 6\n"
+            "parent 2 12\n"
+            "parent 3 15\n"
+            "parent 4 13\n"
+            "parent 5 13\n"
+            "parent 6 0\n"
+            "parent 7 0\n"
+            "parent 8 4\n"
+            "parent 9 0\n"
+            "parent 10 13\n"
+            "parent 11 14\n"
+            "parent 12 15\n"
+            "parent 13 9\n"
+            "parent 14 0\n"
+            "parent 15 5\n");
 }
 
 // --------------------------------------------------------------- faults --

@@ -183,7 +183,6 @@ TEST(Separation, ReturnedSetsAreAlwaysTrulyViolated) {
 /// optimum must be integral and equal to the MST (Lemma 1 of the paper).
 TEST(SubtourLp, ExtremePointIsIntegralMst) {
   Rng rng(99);
-  const lp::SimplexSolver solver;
   for (int trial = 0; trial < 25; ++trial) {
     const int n = 7;
     Graph g(n);
@@ -196,7 +195,7 @@ TEST(SubtourLp, ExtremePointIsIntegralMst) {
 
     MrlcLpFormulation formulation(
         g, std::vector<std::optional<double>>(static_cast<std::size_t>(n)));
-    const CutLpResult res = solve_with_subtour_cuts(formulation, solver);
+    const CutLpResult res = solve_with_subtour_cuts(formulation, CutLoopOptions{});
     ASSERT_EQ(res.status, lp::SolveStatus::kOptimal);
 
     const auto mst = graph::kruskal_mst(g);
@@ -219,7 +218,7 @@ TEST(SubtourLp, InfeasibleOnDisconnectedGraph) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(2, 3, 1.0);
   MrlcLpFormulation formulation(g, std::vector<std::optional<double>>(4));
-  const CutLpResult res = solve_with_subtour_cuts(formulation, lp::SimplexSolver());
+  const CutLpResult res = solve_with_subtour_cuts(formulation, CutLoopOptions{});
   // Either the base LP is already infeasible (x <= 1 caps the two edges at
   // total 2 < 3) or a cut exposes it.
   EXPECT_EQ(res.status, lp::SolveStatus::kInfeasible);
@@ -236,7 +235,7 @@ TEST(SubtourLp, DegreeCapsRestrictSolutions) {
   std::vector<std::optional<double>> caps(4);
   caps[0] = 1.0;  // center may keep only one incident edge
   MrlcLpFormulation formulation(g, caps);
-  const CutLpResult res = solve_with_subtour_cuts(formulation, lp::SimplexSolver());
+  const CutLpResult res = solve_with_subtour_cuts(formulation, CutLoopOptions{});
   ASSERT_EQ(res.status, lp::SolveStatus::kOptimal);
   // One cheap edge + two expensive ones.
   EXPECT_NEAR(res.objective, 11.0, 1e-6);
@@ -306,14 +305,13 @@ TEST(WeightedRows, EnergyWeightedCapsSteerTheSolution) {
   g.add_edge(1, 2, 2.0);
   g.add_edge(2, 3, 2.0);
 
-  const lp::SimplexSolver solver;
   std::vector<std::optional<double>> caps(4);
   caps[0] = 5.0;  // generous in unit terms
 
   // Unit rows: the cap never binds; the cheap star is chosen (cost 3).
   {
     MrlcLpFormulation unit(g, caps);
-    const CutLpResult res = solve_with_subtour_cuts(unit, solver);
+    const CutLpResult res = solve_with_subtour_cuts(unit, CutLoopOptions{});
     ASSERT_EQ(res.status, lp::SolveStatus::kOptimal);
     EXPECT_NEAR(res.objective, 3.0, 1e-6);
   }
@@ -328,7 +326,7 @@ TEST(WeightedRows, EnergyWeightedCapsSteerTheSolution) {
           const bool star_edge = e == s1 || e == s2 || e == s3;
           return v == 0 && star_edge ? 4.0 : 0.1;
         });
-    const CutLpResult res = solve_with_subtour_cuts(weighted, solver);
+    const CutLpResult res = solve_with_subtour_cuts(weighted, CutLoopOptions{});
     ASSERT_EQ(res.status, lp::SolveStatus::kOptimal);
     EXPECT_GT(res.objective, 4.0);         // the cap genuinely binds
     EXPECT_LE(res.objective, 5.0 + 1e-6);  // valid lower bound on the tree

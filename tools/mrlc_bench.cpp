@@ -196,8 +196,7 @@ void run_service_mixed(int repeat, bool with_timings) {
 
 std::vector<Workload> make_workloads(std::int64_t budget_units,
                                      bool with_timings,
-                                     core::VariantId variant,
-                                     dist::DataPlaneEngine dataplane_engine) {
+                                     core::VariantId variant) {
   std::vector<Workload> out;
 
   out.push_back({"ira_dfl_n16", "IRA on the 16-node DFL testbed instance",
@@ -280,7 +279,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
 
   out.push_back({"dataplane_n16",
                  "200 ARQ convergecast rounds with estimator-driven repair",
-                 [dataplane_engine](int repeat) {
+                 [](int repeat) {
                    const wsn::Network net = scenario::make_dfl_system().network;
                    const double bound = mst_bound(net);
                    core::IraOptions ira_options;
@@ -289,16 +288,14 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                        core::IterativeRelaxation(ira_options).solve(net, bound);
                    dist::DataPlaneOptions options;
                    options.rounds = 200;
-                   options.engine = dataplane_engine;
                    options.seed = 4000 + static_cast<std::uint64_t>(repeat);
                    dist::run_dataplane(net, ira.tree, bound, options);
                  }});
 
   out.push_back({"dataplane_des_n100k",
                  "20 estimator-repair convergecast rounds on a 400x250 grid "
-                 "(100k nodes, BFS initial tree) through the selected "
-                 "data-plane engine",
-                 [dataplane_engine](int repeat) {
+                 "(100k nodes, BFS initial tree)",
+                 [](int repeat) {
                    scenario::GridNetworkConfig config;
                    config.rows = 400;
                    config.cols = 250;
@@ -311,7 +308,6 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                        0.5 * wsn::network_lifetime(net, tree);
                    dist::DataPlaneOptions options;
                    options.rounds = 20;
-                   options.engine = dataplane_engine;
                    options.seed = 11000 + static_cast<std::uint64_t>(repeat);
                    dist::run_dataplane(net, tree, bound, options);
                  }});
@@ -393,11 +389,7 @@ std::string indent_block(const std::string& json, const std::string& pad) {
                "                  (mrlc | etx | min_energy | max_lifetime;\n"
                "                  default mrlc = the historical path);\n"
                "                  recorded in config.variant so\n"
-               "                  bench_compare.py groups runs by variant\n"
-               "  --dataplane-engine NAME\n"
-               "                  engine for the dataplane_* workloads\n"
-               "                  (des | legacy; default des — results are\n"
-               "                  bit-identical, only the wall time moves)\n";
+               "                  bench_compare.py groups runs by variant\n";
   std::exit(2);
 }
 
@@ -415,7 +407,6 @@ int main(int argc, char** argv) {
   std::int64_t budget_units = 0;
   std::string engine = "sparse";
   std::string variant_name = "mrlc";
-  std::string dataplane_engine_name = "des";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
@@ -440,11 +431,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--variant" && i + 1 < argc) {
       variant_name = argv[++i];
       if (!mrlc::core::variant_from_string(variant_name).has_value()) usage();
-    } else if (arg == "--dataplane-engine" && i + 1 < argc) {
-      dataplane_engine_name = argv[++i];
-      if (dataplane_engine_name != "des" && dataplane_engine_name != "legacy") {
-        usage();
-      }
     } else {
       usage();
     }
@@ -454,12 +440,9 @@ int main(int argc, char** argv) {
                                                  : mrlc::lp::Engine::kSparse);
   const mrlc::core::VariantId variant =
       *mrlc::core::variant_from_string(variant_name);
-  const mrlc::dist::DataPlaneEngine dataplane_engine =
-      dataplane_engine_name == "legacy" ? mrlc::dist::DataPlaneEngine::kLegacy
-                                        : mrlc::dist::DataPlaneEngine::kDes;
 
   const std::vector<Workload> workloads =
-      make_workloads(budget_units, with_timings, variant, dataplane_engine);
+      make_workloads(budget_units, with_timings, variant);
   if (list_only) {
     for (const Workload& w : workloads) {
       std::cout << w.name << "  " << w.description << '\n';
@@ -528,9 +511,7 @@ int main(int argc, char** argv) {
       << ", \"threads\": " << mrlc::default_thread_count()
       << ", \"budget\": " << budget_units
       << ", \"engine\": " << json_escape(engine)
-      << ", \"variant\": " << json_escape(variant_name)
-      << ", \"dataplane_engine\": " << json_escape(dataplane_engine_name)
-      << "},\n";
+      << ", \"variant\": " << json_escape(variant_name) << "},\n";
   out << "  \"workloads\": [\n" << body.str() << "\n  ]\n";
   out << "}\n";
   std::cerr << "wrote " << out_path << '\n';

@@ -81,7 +81,6 @@ void print_usage(std::ostream& out) {
          "                    [--burst B] [--attempts N]\n"
          "                    [--ack-fraction F] [--probe P]\n"
          "                    [--churn-sigma S] [--seed S]\n"
-         "                    [--dataplane-engine legacy|des]\n"
          "                    [--window-rounds W]\n"
          "                    [--metrics-flush-every N]\n"
          "                    [--metrics-flush-path PATH] < net\n"
@@ -249,16 +248,6 @@ int run_dataplane_cmd(const mrlc::wsn::Network& net, const std::string& input,
     options.churn.cost_noise_sigma = std::stod(flags["churn-sigma"]);
   }
   if (flags.count("seed")) options.seed = std::stoull(flags["seed"]);
-  if (flags.count("dataplane-engine")) {
-    const std::string& engine = flags["dataplane-engine"];
-    if (engine == "legacy") {
-      options.engine = dist::DataPlaneEngine::kLegacy;
-    } else if (engine == "des") {
-      options.engine = dist::DataPlaneEngine::kDes;
-    } else {
-      usage();
-    }
-  }
   if (flags.count("window-rounds")) {
     options.window_rounds = std::stoi(flags["window-rounds"]);
   }
