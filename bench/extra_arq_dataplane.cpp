@@ -71,7 +71,7 @@ std::vector<Instance> make_instances() {
     const double bound =
         kLcFraction * net.energy_model().node_lifetime(3000.0, 8);
     try {
-      core::RetxIraResult res = core::retx_aware_ira(net, bound, ira_options);
+      core::SolveResult res = core::retx_aware_ira(net, bound, ira_options);
       if (!res.meets_bound) continue;
       instances.push_back({std::move(net), std::move(res.tree), bound});
     } catch (const InfeasibleError&) {

@@ -23,7 +23,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "distributed/churn.hpp"
 #include "distributed/failure.hpp"
 #include "distributed/simulator.hpp"
@@ -59,8 +59,8 @@ Accumulator run_schedule(const Config& config, double link_probability) {
   constexpr int kRuns = 3;
   constexpr std::uint64_t kBaseSeed = 20150901;  // ICPP'15, nothing more
 
-  core::IraOptions ira_options;
-  ira_options.bound_mode = core::BoundMode::kDirect;
+  core::SolveRequest request;
+  request.ira.bound_mode = core::BoundMode::kDirect;
 
   Accumulator acc;
   for (int run = 0; run < kRuns; ++run) {
@@ -73,13 +73,9 @@ Accumulator run_schedule(const Config& config, double link_probability) {
     wsn::Network net = scenario::make_random_network(net_config, rng);
 
     const double bound = net.energy_model().node_lifetime(3000.0, 8);
-    core::IraResult ira;
-    try {
-      ira = core::IterativeRelaxation(ira_options).solve(net, bound);
-    } catch (const InfeasibleError&) {
-      continue;
-    }
-    if (!ira.meets_bound) continue;
+    request.bound = bound;
+    const core::SolveResult ira = core::solve(net, request);
+    if (!ira.meets_bound) continue;  // also false when infeasible
 
     dist::MaintainerOptions maintainer_options;
     maintainer_options.allow_lc_relaxation = config.allow_relaxation;
@@ -122,20 +118,17 @@ Accumulator run_schedule(const Config& config, double link_probability) {
       // kept every survivor attached and the rebuild is feasible).
       if (sim.tree().member_count() == net.alive_node_count()) {
         const dist::CompactNetwork compact = dist::compact_alive_network(net);
-        try {
-          const core::IraResult rebuilt =
-              core::IterativeRelaxation(ira_options).solve(compact.net, bound);
-          if (rebuilt.meets_bound) {
-            const double q_rebuilt =
-                wsn::tree_reliability(compact.net, rebuilt.tree);
-            if (q_rebuilt > 0.0) {
-              acc.retained_sum +=
-                  wsn::tree_reliability(net, sim.tree()) / q_rebuilt;
-              ++acc.retained_samples;
-            }
+        // An infeasible rebuild (survivors disconnected or bound
+        // unreachable) never meets the bound: no baseline.
+        const core::SolveResult rebuilt = core::solve(compact.net, request);
+        if (rebuilt.meets_bound) {
+          const double q_rebuilt =
+              wsn::tree_reliability(compact.net, rebuilt.tree);
+          if (q_rebuilt > 0.0) {
+            acc.retained_sum +=
+                wsn::tree_reliability(net, sim.tree()) / q_rebuilt;
+            ++acc.retained_samples;
           }
-        } catch (const InfeasibleError&) {
-          // survivors disconnected or bound unreachable: no baseline
         }
       }
     }

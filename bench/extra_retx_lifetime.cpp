@@ -19,7 +19,6 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
 #include "core/retx_ira.hpp"
 #include "radio/depletion_sim.hpp"
 #include "scenario/dfl.hpp"
@@ -38,10 +37,10 @@ int main(int argc, char** argv) {
   const baselines::AamlResult aaml =
       baselines::aaml(scenario::filter_links(sys.network, 0.95));
 
-  core::IraOptions direct;
-  direct.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult ira =
-      core::IterativeRelaxation(direct).solve(sys.network, aaml.lifetime);
+  core::SolveRequest request;
+  request.bound = aaml.lifetime;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult ira = core::solve(sys.network, request);
   const baselines::MstResult mst = baselines::mst_baseline(sys.network);
 
   // Retransmission-aware solve: scan downward from +30% over the plain
@@ -50,10 +49,10 @@ int main(int argc, char** argv) {
   const double ira_retx = wsn::network_lifetime_retx(sys.network, ira.tree);
   bool retx_ok = false;
   double retx_bound = 0.0;
-  core::RetxIraResult retx;
+  core::SolveResult retx;
   for (const double factor : {1.3, 1.2, 1.1, 1.05, 1.0, 0.9}) {
     try {
-      core::RetxIraResult candidate =
+      core::SolveResult candidate =
           core::retx_aware_ira(sys.network, factor * ira_retx);
       if (candidate.meets_bound) {
         retx = std::move(candidate);

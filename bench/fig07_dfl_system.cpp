@@ -25,7 +25,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "core/branch_bound.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "scenario/dfl.hpp"
 #include "scenario/random_net.hpp"
 #include "wsn/metrics.hpp"
@@ -62,50 +62,45 @@ int main(int argc, char** argv) {
   const baselines::EtxSptResult etx = baselines::etx_spt(sys.network);
   add_row("ETX shortest-path tree", "-", etx.cost, etx.reliability, etx.lifetime, "-");
 
-  core::IraOptions direct;
-  direct.bound_mode = core::BoundMode::kDirect;
-  const core::IterativeRelaxation solver(direct);
-  // The LC sweep routes through the selected --variant (mrlc takes the
-  // historical direct-IRA path byte-for-byte); the strict-L' and
-  // branch-and-bound rows below are MRLC-specific and stay on it.
+  // One request per bound mode; the LC sweep routes through the selected
+  // --variant, while the strict-L' rows and the branch-and-bound row below
+  // are MRLC-specific.
+  auto solve = [&](core::VariantId variant, core::BoundMode mode, double lc) {
+    core::SolveRequest request;
+    request.variant = variant;
+    request.bound = lc;
+    request.ira.bound_mode = mode;
+    return core::solve(sys.network, request);
+  };
+  auto add_solve_row = [&](const std::string& name, const std::string& label,
+                           const core::SolveResult& res) {
+    if (res.status == core::SolveStatus::kInfeasible) {
+      table.begin_row().add(name).add(label).add("-").add("-").add("-").add(
+          "infeasible");
+      return;
+    }
+    add_row(name, label, res.cost, res.reliability, res.lifetime,
+            res.meets_bound ? "yes" : "violated");
+  };
   const std::string solver_name =
       bench::variant_label(bench_args.variant) + " (direct)";
   for (const double factor : {1.0, 1.5, 2.0, 2.5}) {
     const double lc = factor * aaml.lifetime;
-    const std::string label = std::to_string(factor) + " x L_AAML";
-    try {
-      if (bench_args.variant == core::VariantId::kMrlc) {
-        const core::IraResult res = solver.solve(sys.network, lc);
-        add_row(solver_name, label, res.cost, res.reliability, res.lifetime,
-                res.meets_bound ? "yes" : "violated");
-      } else {
-        const core::VariantResult res =
-            core::solve_variant(bench_args.variant, sys.network, lc);
-        add_row(solver_name, label, res.cost, res.reliability, res.lifetime,
-                res.meets_bound ? "yes" : "violated");
-      }
-    } catch (const InfeasibleError&) {
-      table.begin_row().add(solver_name).add(label).add("-").add("-").add("-").add(
-          "infeasible");
-    }
+    add_solve_row(solver_name, std::to_string(factor) + " x L_AAML",
+                  solve(bench_args.variant, core::BoundMode::kDirect, lc));
   }
   // The strict Algorithm-1 bound, where defined.
   for (const double factor : {0.5, 0.75, 1.0}) {
     const double lc = factor * aaml.lifetime;
-    const std::string label = std::to_string(factor) + " x L_AAML";
-    try {
-      const core::IraResult res = core::IterativeRelaxation().solve(sys.network, lc);
-      add_row("IRA (strict L')", label, res.cost, res.reliability, res.lifetime,
-              res.meets_bound ? "yes" : "violated");
-    } catch (const InfeasibleError&) {
-      table.begin_row().add("IRA (strict L')").add(label).add("-").add("-").add("-").add(
-          "infeasible");
-    }
+    add_solve_row("IRA (strict L')", std::to_string(factor) + " x L_AAML",
+                  solve(core::VariantId::kMrlc, core::BoundMode::kPaperStrict,
+                        lc));
   }
   // Exact optimum at LC = L_AAML via branch-and-bound: the true optimality
   // gap of IRA at the paper's full scale (enumeration cannot do n = 16).
   try {
-    const auto exact = core::branch_bound_mrlc(sys.network, aaml.lifetime);
+    const auto exact = core::branch_bound_variant(core::VariantId::kMrlc,
+                                                  sys.network, aaml.lifetime);
     if (exact.has_value()) {
       add_row("EXACT (branch&bound)", "1.0 x L_AAML", exact->cost,
               exact->reliability, exact->lifetime, "yes");
@@ -124,12 +119,13 @@ int main(int argc, char** argv) {
                "IRA meets L_AAML without giving up much reliability (paper: "
                "24% reliability gain over AAML at equal lifetime)\n";
   std::cout << "reliability gain of IRA@1.0xL_AAML over AAML: ";
-  try {
-    const core::IraResult res = solver.solve(sys.network, aaml.lifetime);
+  const core::SolveResult res =
+      solve(core::VariantId::kMrlc, core::BoundMode::kDirect, aaml.lifetime);
+  if (res.status == core::SolveStatus::kInfeasible) {
+    std::cout << "(infeasible)\n";
+  } else {
     std::cout << (res.reliability - aaml.reliability) / aaml.reliability * 100.0
               << "%\n";
-  } catch (const InfeasibleError&) {
-    std::cout << "(infeasible)\n";
   }
   return 0;
 }

@@ -26,8 +26,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
-#include "core/variant.hpp"
+#include "core/solve.hpp"
 #include "distributed/maintainer.hpp"
 #include "distributed/simulator.hpp"
 #include "scenario/dfl.hpp"
@@ -45,35 +44,29 @@ void run_variant(double cost_increase_nats, std::uint64_t seed,
       baselines::aaml(scenario::filter_links(sys.network, 0.95));
   const double bound = aaml.lifetime;
 
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  const core::IterativeRelaxation solver(options);
-
-  // Centralized reference, routed through --variant (mrlc = the
-  // historical direct-IRA path).  A variant whose feasibility region is
-  // stricter than MRLC's (etx/min_energy charge conservative energy
-  // rows) can be infeasible at LC = L_AAML; such rounds fall back to the
-  // mrlc tree so the protocol comparison still has a reference.
-  struct Central {
-    wsn::AggregationTree tree;
-    double cost = 0.0;
-    double reliability = 0.0;
-  };
-  auto central = [&](const wsn::Network& net) -> Central {
-    if (bench_args.variant != core::VariantId::kMrlc) {
-      try {
-        core::VariantResult r =
-            core::solve_variant(bench_args.variant, net, bound);
-        return {std::move(r.tree), r.cost, r.reliability};
-      } catch (const InfeasibleError&) {
-        // fall through to the mrlc reference
-      }
+  // Centralized reference: the --variant solve in direct mode.  A variant
+  // whose feasibility region is stricter than MRLC's (etx/min_energy
+  // charge conservative energy rows) can be infeasible at LC = L_AAML;
+  // such rounds fall back to the mrlc tree so the protocol comparison
+  // still has a reference.
+  auto central = [&](const wsn::Network& net) {
+    core::SolveRequest request;
+    request.variant = bench_args.variant;
+    request.bound = bound;
+    request.ira.bound_mode = core::BoundMode::kDirect;
+    core::SolveResult r = core::solve(net, request);
+    if (r.status == core::SolveStatus::kInfeasible &&
+        request.variant != core::VariantId::kMrlc) {
+      request.variant = core::VariantId::kMrlc;
+      r = core::solve(net, request);
     }
-    core::IraResult r = solver.solve(net, bound);
-    return {std::move(r.tree), r.cost, r.reliability};
+    if (r.status == core::SolveStatus::kInfeasible) {
+      throw InfeasibleError(r.message);
+    }
+    return r;
   };
 
-  const Central initial = central(sys.network);
+  const core::SolveResult initial = central(sys.network);
   dist::ProtocolSimulator protocol(sys.network, initial.tree, bound);
 
   std::cout << "\nper-round cost increase: " << cost_increase_nats << " nats ("
@@ -100,7 +93,7 @@ void run_variant(double cost_increase_nats, std::uint64_t seed,
     updates_so_far = protocol.maintainer().stats().updates_applied;
 
     if (round % 10 != 0) continue;
-    const Central fresh = central(sys.network);
+    const core::SolveResult fresh = central(sys.network);
     const double dist_cost = wsn::tree_cost(sys.network, protocol.tree());
     const double dist_rel = wsn::tree_reliability(sys.network, protocol.tree());
     table.begin_row()

@@ -20,7 +20,7 @@
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "core/lp_formulation.hpp"
 #include "core/separation.hpp"
 #include "graph/mst.hpp"
@@ -46,15 +46,16 @@ void ablate_bound_mode() {
     for (int i = 0; i < instances; ++i) {
       const wsn::Network net = scenario::make_random_network(config, sweep_rng);
       const double bound = net.energy_model().node_lifetime(3000.0, children);
-      try {
-        const core::IraResult res = core::IterativeRelaxation().solve(net, bound);
+      core::SolveRequest request;
+      request.bound = bound;
+      request.ira.bound_mode = core::BoundMode::kPaperStrict;
+      const core::SolveResult strict = core::solve(net, request);
+      if (strict.status != core::SolveStatus::kInfeasible) {
         ++strict_ok;
-        strict_cost.add(bench::to_millibits(res.cost));
-      } catch (const InfeasibleError&) {
+        strict_cost.add(bench::to_millibits(strict.cost));
       }
-      core::IraOptions direct;
-      direct.bound_mode = core::BoundMode::kDirect;
-      const core::IraResult res = core::IterativeRelaxation(direct).solve(net, bound);
+      request.ira.bound_mode = core::BoundMode::kDirect;
+      const core::SolveResult res = core::solve(net, request);
       direct_cost.add(bench::to_millibits(res.cost));
       direct_violations += res.meets_bound ? 0 : 1;
     }
@@ -138,21 +139,19 @@ void ablate_greedy_vs_ira() {
     int ira_violations = 0;
     const int instances = 40;
     Rng sweep_rng = rng.fork(static_cast<std::uint64_t>(children));
-    core::IraOptions options;
-    options.bound_mode = core::BoundMode::kDirect;
-    const core::IterativeRelaxation solver(options);
+    core::SolveRequest request;
+    request.ira.bound_mode = core::BoundMode::kDirect;
     int solved = 0;
     for (int i = 0; i < instances; ++i) {
       const wsn::Network net = scenario::make_random_network(config, sweep_rng);
-      const double bound = net.energy_model().node_lifetime(3000.0, children);
-      core::IraResult ira;
-      try {
-        ira = solver.solve(net, bound);
-      } catch (const InfeasibleError&) {
+      request.bound = net.energy_model().node_lifetime(3000.0, children);
+      const core::SolveResult ira = core::solve(net, request);
+      if (ira.status == core::SolveStatus::kInfeasible) {
         continue;  // genuinely unachievable bound on this draw
       }
       ++solved;
-      const baselines::GreedyMrlcResult greedy = baselines::greedy_mrlc(net, bound);
+      const baselines::GreedyMrlcResult greedy =
+          baselines::greedy_mrlc(net, request.bound);
       greedy_cost.add(bench::to_millibits(greedy.cost));
       ira_cost.add(bench::to_millibits(ira.cost));
       stuck += greedy.cap_relaxations > 0 ? 1 : 0;
@@ -239,16 +238,17 @@ void ablate_simplex_pricing() {
 
   Table table({"pricing", "total_pivots", "pivots_per_solve", "total_lp_solves"});
   for (const bool bland_only : {false, true}) {
-    core::IraOptions options;
-    options.bound_mode = core::BoundMode::kDirect;
-    options.simplex.bland_after = bland_only ? 0 : 5000;
+    core::SolveRequest request;
+    request.ira.bound_mode = core::BoundMode::kDirect;
+    request.ira.simplex.bland_after = bland_only ? 0 : 5000;
     long long iterations = 0;
     long long solves = 0;
     Rng sweep_rng = rng.fork(bland_only ? 1 : 2);
     for (int i = 0; i < 20; ++i) {
       const wsn::Network net = scenario::make_random_network(config, sweep_rng);
       const double bound = net.energy_model().node_lifetime(3000.0, 6);
-      const core::IraResult res = core::IterativeRelaxation(options).solve(net, bound);
+      request.bound = bound;
+      const core::SolveResult res = core::solve(net, request);
       solves += res.stats.lp_solves;
       iterations += res.stats.simplex_iterations;
     }

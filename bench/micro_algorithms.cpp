@@ -10,7 +10,7 @@
 #include "baselines/aaml.hpp"
 #include "baselines/mst_baseline.hpp"
 #include "common/rng.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "core/lp_formulation.hpp"
 #include "core/separation.hpp"
 #include "graph/mst.hpp"
@@ -38,11 +38,11 @@ void BM_IraSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const wsn::Network net = make_net(n, 42);
   const double bound = net.energy_model().node_lifetime(3000.0, 6);
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  const core::IterativeRelaxation solver(options);
+  core::SolveRequest request;
+  request.bound = bound;
+  request.ira.bound_mode = core::BoundMode::kDirect;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(net, bound));
+    benchmark::DoNotOptimize(core::solve(net, request));
   }
 }
 BENCHMARK(BM_IraSolve)->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Unit(benchmark::kMillisecond);

@@ -15,7 +15,7 @@
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "scenario/random_net.hpp"
 
 namespace mrlc::bench {
@@ -32,35 +32,24 @@ struct SweepRow {
 };
 
 /// Runs one instance: AAML fixes the lifetime constraint, the selected
-/// solver variant and MST compete on cost.  `kMrlc` takes the historical
-/// direct-IRA path byte-for-byte (no variant layer runs); the other
-/// variants route through `core::solve_variant` at the same bound —
-/// `max_lifetime` treats it as a floor, and a variant whose feasibility
-/// region is stricter than MRLC's (etx/min_energy charge conservative
-/// energy rows) may report the instance infeasible, which the row records
-/// as a violated bound with zeroed solver columns.
+/// solver variant (direct bound) and MST compete on cost.  `max_lifetime`
+/// treats the bound as a floor, and a variant whose feasibility region is
+/// stricter than MRLC's (etx/min_energy charge conservative energy rows)
+/// may report the instance infeasible, which the row records as a violated
+/// bound with zeroed solver columns.
 inline SweepRow run_instance(const wsn::Network& net,
                              core::VariantId variant = core::VariantId::kMrlc) {
   SweepRow row;
   const baselines::AamlResult aaml = baselines::aaml(net);
-  if (variant == core::VariantId::kMrlc) {
-    core::IraOptions options;
-    options.bound_mode = core::BoundMode::kDirect;
-    const core::IraResult ira =
-        core::IterativeRelaxation(options).solve(net, aaml.lifetime);
-    row.ira_cost = ira.cost;
-    row.ira_reliability = ira.reliability;
-    row.ira_meets = ira.meets_bound;
-  } else {
-    try {
-      const core::VariantResult res =
-          core::solve_variant(variant, net, aaml.lifetime);
-      row.ira_cost = res.cost;
-      row.ira_reliability = res.reliability;
-      row.ira_meets = res.meets_bound;
-    } catch (const InfeasibleError&) {
-      row.ira_meets = false;  // conservative rows can exclude every tree
-    }
+  core::SolveRequest request;
+  request.variant = variant;
+  request.bound = aaml.lifetime;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult res = core::solve(net, request);
+  if (res.status != core::SolveStatus::kInfeasible) {
+    row.ira_cost = res.cost;
+    row.ira_reliability = res.reliability;
+    row.ira_meets = res.meets_bound;
   }
   const baselines::MstResult mst = baselines::mst_baseline(net);
   row.aaml_cost = aaml.cost;

@@ -10,7 +10,7 @@
 #include "baselines/mst_baseline.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "radio/packet_sim.hpp"
 #include "scenario/dfl.hpp"
 #include "scenario/random_net.hpp"
@@ -31,10 +31,10 @@ int main() {
   const baselines::AamlResult aaml =
       baselines::aaml(scenario::filter_links(sys.network, 0.95));
   const baselines::MstResult mst = baselines::mst_baseline(sys.network);
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult ira =
-      core::IterativeRelaxation(options).solve(sys.network, aaml.lifetime);
+  core::SolveRequest request;
+  request.bound = aaml.lifetime;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult ira = core::solve(sys.network, request);
 
   Table table({"strategy", "reliability", "lifetime_rounds", "battery_years@1Hz"});
   auto years = [](double rounds) { return rounds / (3600.0 * 24.0 * 365.0); };

@@ -15,7 +15,7 @@
 #include "baselines/aaml.hpp"
 #include "baselines/mst_baseline.hpp"
 #include "common/rng.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "scenario/random_net.hpp"
 #include "wsn/metrics.hpp"
 
@@ -40,10 +40,10 @@ int main() {
             << " aggregation rounds\n\n";
 
   // --- Solve. ------------------------------------------------------------
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult ira =
-      core::IterativeRelaxation(options).solve(net, mission_rounds);
+  core::SolveRequest request;
+  request.bound = mission_rounds;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult ira = core::solve(net, request);
   const baselines::AamlResult aaml = baselines::aaml(net);
   const baselines::MstResult mst = baselines::mst_baseline(net);
 
@@ -72,16 +72,16 @@ int main() {
   // shipping a tree that dies early.
   const double stretch_rounds = rounds_per_day * 420.0;
   std::cout << "\nstretch mission (14 months = " << stretch_rounds << " rounds):\n";
-  try {
-    const core::IraResult stretch =
-        core::IterativeRelaxation(options).solve(net, stretch_rounds);
+  request.bound = stretch_rounds;
+  const core::SolveResult stretch = core::solve(net, request);
+  if (stretch.status == core::SolveStatus::kInfeasible) {
+    std::cout << "  solver proved it impossible: " << stretch.message << "\n";
+  } else {
     std::cout << "  best tree survives " << stretch.lifetime / rounds_per_day
               << " days (" << (stretch.meets_bound
                                    ? "mission met"
                                    : "short of the mission — reported, not hidden")
               << "), Q(T) = " << stretch.reliability << "\n";
-  } catch (const InfeasibleError& e) {
-    std::cout << "  solver proved it impossible: " << e.what() << "\n";
   }
   return 0;
 }

@@ -7,7 +7,7 @@
 
 #include <iostream>
 
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "wsn/metrics.hpp"
 #include "wsn/network.hpp"
 
@@ -25,9 +25,12 @@ int main() {
   net.add_link(2, 3, 0.9);
 
   // 2. Pick the lifetime the deployment must survive (in aggregation
-  //    rounds) and run the Iterative Relaxation Algorithm.
+  //    rounds) and run the Iterative Relaxation Algorithm (by default at
+  //    the paper's strict bound L', which guarantees the lifetime).
   const double required_rounds = 2.0e6;
-  const core::IraResult result = core::IterativeRelaxation().solve(net, required_rounds);
+  core::SolveRequest request;
+  request.bound = required_rounds;
+  const core::SolveResult result = core::solve(net, request);
 
   // 3. Inspect the tree.
   std::cout << "aggregation tree (child -> parent):\n";
@@ -42,11 +45,12 @@ int main() {
             << " (required " << required_rounds << ")\n"
             << "bound satisfied: " << (result.meets_bound ? "yes" : "no") << '\n';
 
-  // 4. The solver reports InfeasibleError if no tree can meet the bound:
-  try {
-    core::IterativeRelaxation().solve(net, 1.0e7);
-  } catch (const InfeasibleError& e) {
-    std::cout << "as expected, a 1e7-round bound is infeasible: " << e.what() << '\n';
+  // 4. A bound no tree can meet comes back as a typed status:
+  request.bound = 1.0e7;
+  const core::SolveResult impossible = core::solve(net, request);
+  if (impossible.status == core::SolveStatus::kInfeasible) {
+    std::cout << "as expected, a 1e7-round bound is infeasible: "
+              << impossible.message << '\n';
   }
   return 0;
 }

@@ -14,7 +14,7 @@
 
 #include "baselines/aaml.hpp"
 #include "common/rng.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "distributed/failure.hpp"
 #include "distributed/simulator.hpp"
 #include "prufer/codec.hpp"
@@ -41,10 +41,10 @@ int main() {
   scenario::DflSystem sys = scenario::make_dfl_system();
   const baselines::AamlResult aaml =
       baselines::aaml(scenario::filter_links(sys.network, 0.95));
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult initial =
-      core::IterativeRelaxation(options).solve(sys.network, aaml.lifetime);
+  core::SolveRequest request;
+  request.bound = aaml.lifetime;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult initial = core::solve(sys.network, request);
 
   dist::ProtocolSimulator protocol(sys.network, initial.tree, aaml.lifetime);
   std::cout << "initial tree: reliability " << std::setprecision(4)
@@ -140,7 +140,8 @@ int main() {
   net_config.prr_max = 0.99;
   wsn::Network net = scenario::make_random_network(net_config, net_rng);
   const double bound = net.energy_model().node_lifetime(3000.0, 8);
-  const core::IraResult start = core::IterativeRelaxation(options).solve(net, bound);
+  request.bound = bound;
+  const core::SolveResult start = core::solve(net, request);
 
   dist::FloodOptions flood;
   flood.lossy = true;

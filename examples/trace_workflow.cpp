@@ -5,13 +5,14 @@
 /// A deployment team typically (1) surveys the site and records link
 /// qualities, (2) plans the tree offline, (3) ships the plan to the sink.
 /// This example round-trips all three steps through the plain-text
-/// formats (`wsn/io.hpp`), using the one-call `MrlcSolver` facade with
-/// exact certification.
+/// formats (`wsn/io.hpp`), solving with `core::solve` in the kAuto bound
+/// mode with exact certification.
 
 #include <iostream>
 #include <sstream>
 
-#include "core/solver.hpp"
+#include "core/feasibility.hpp"
+#include "core/solve.hpp"
 #include "scenario/dfl.hpp"
 #include "wsn/io.hpp"
 #include "wsn/metrics.hpp"
@@ -37,24 +38,33 @@ int main() {
             << achievable.upper << "] rounds\n";
 
   const double requirement = achievable.lower * 0.4;  // healthy margin
-  core::SolverOptions options;
-  options.certify_with_exact = true;
-  const core::SolveReport report = core::MrlcSolver(options).solve(net, requirement);
-  std::cout << "requirement " << requirement << " rounds -> " << report.narrative
-            << '\n';
-  if (report.optimality_gap.has_value()) {
-    std::cout << "certified against branch-and-bound: gap = "
-              << *report.optimality_gap << " nats"
-              << (*report.optimality_gap < 1e-9 ? " (provably optimal)" : "")
-              << '\n';
+  core::SolveRequest request;
+  request.bound = requirement;
+  request.ira.bound_mode = core::BoundMode::kAuto;
+  request.certify = true;
+  const core::SolveResult plan = core::solve(net, request);
+  std::cout << "requirement " << requirement << " rounds -> "
+            << (plan.bound_mode == core::BoundMode::kPaperStrict
+                    ? "strict Algorithm 1"
+                    : "direct relaxation (fallback)")
+            << ": reliability " << plan.reliability << ", lifetime "
+            << plan.lifetime << " rounds ("
+            << (plan.meets_bound ? "bound met"
+                                 : "bound violated within +2 children/node")
+            << ")";
+  if (plan.exact_cost.has_value()) {
+    std::cout << ", optimality gap " << plan.gap << " nats\n"
+              << "certified against branch-and-bound: gap = " << plan.gap
+              << " nats" << (plan.gap < 1e-9 ? " (provably optimal)" : "");
   }
+  std::cout << '\n';
 
   // --- 3. Ship the plan: serialize the tree, reload it sink-side. --------
-  const std::string plan_file = wsn::tree_to_string(report.result.tree);
+  const std::string plan_file = wsn::tree_to_string(plan.tree);
   const wsn::AggregationTree deployed = wsn::tree_from_string(plan_file, net);
   std::cout << "\nplan file round-trip: "
-            << (deployed.parents() == report.result.tree.parents() ? "intact"
-                                                                   : "CORRUPTED")
+            << (deployed.parents() == plan.tree.parents() ? "intact"
+                                                          : "CORRUPTED")
             << "; deployed tree reliability "
             << wsn::tree_reliability(net, deployed) << '\n';
   return 0;

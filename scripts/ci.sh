@@ -18,12 +18,10 @@
 #   5b. engine parity gate: stock instances solved with --engine sparse
 #      and --engine dense must print byte-identical trees, and an
 #      --lp-crosscheck run (dense shadow oracle) must pass;
-#   5c. variant parity gate: `mrlc_solve ira` and `mrlc_solve ira
-#      --variant mrlc` must print byte-identical trees (the problem-variant
-#      interface may not perturb the historical solver); with an unlimited
-#      `--budget`, both must also exit 0 with the same tree (the anytime
-#      layer runs mrlc through the shared variant route); and the
-#      brute-force optimality suite must pass for every variant;
+#   5c. solve golden gate: `mrlc_solve ira|auto` over bound modes,
+#      variants, certification and budgets must reproduce the committed
+#      stdout and exit code of every case in tests/data/solve_goldens/;
+#      and the brute-force optimality suite must pass for every variant;
 #   5d. perfbench golden gate: the repository benchmark (perfbench/,
 #      a standalone Release build under .bench_build/perfbench) must
 #      pass its checker tests, and a 2-second run of each workload must
@@ -173,56 +171,52 @@ engine_parity_smoke() {
   echo "ci[$label]: sparse/dense trees byte-identical, cross-check audit clean"
 }
 
-# Variant parity gate: routing the historical MRLC solver through the
-# problem-variant interface must be invisible — `ira` and `ira --variant
-# mrlc` print byte-identical stdout on stock instances (strict and direct
-# bound modes both).  The anytime pair checks the same for the budgeted
-# route: with a budget that never runs out, `ira --budget` and `ira
-# --variant mrlc --budget` both go through the anytime layer's single
-# body and must exit 0 with the direct solve's stdout.  The brute-force
-# sweep then re-proves each variant optimal for its own objective against
-# spanning-tree enumeration.
-variant_parity_smoke() {
+# Solve golden gate: every case in tests/data/solve_goldens/cases.txt
+# (`ira` strict and direct, each variant, `auto` with and without
+# --certify, an unlimited and an exhausting --budget) must print the
+# committed tree and exit with the committed code on the stock dfl and
+# rand nets.  The goldens were captured from the solver as it stood
+# before its entry points were merged into `core::solve`.  The
+# brute-force sweep then re-proves each variant optimal for its own
+# objective against spanning-tree enumeration.
+solve_golden_smoke() {
   local bindir="$1" label="$2"
   local gen="$bindir/tools/mrlc_gen" solve="$bindir/tools/mrlc_solve"
-  echo "=== [$label] variant parity gate ==="
-  local dir="$bindir/variant_parity"
+  local golden="$repo/tests/data/solve_goldens"
+  echo "=== [$label] solve golden gate ==="
+  local dir="$bindir/solve_goldens"
   rm -rf "$dir"
   mkdir -p "$dir"
   "$gen" dfl --seed 7 > "$dir/dfl.net"
   "$gen" random --nodes 24 --seed 11 --p 0.4 > "$dir/rand.net"
-  local net extra
+  local net name args id rc want
   for net in dfl rand; do
-    for extra in "" "--strict"; do
-      "$solve" ira --lifetime 100 $extra < "$dir/$net.net" \
-        > "$dir/${net}_legacy.txt"
-      "$solve" ira --variant mrlc --lifetime 100 $extra < "$dir/$net.net" \
-        > "$dir/${net}_routed.txt"
-      if ! cmp -s "$dir/${net}_legacy.txt" "$dir/${net}_routed.txt"; then
-        echo "ci: variant parity: --variant mrlc differs on $net ${extra:-(direct)}" >&2
+    while IFS=$'\t' read -r name args; do
+      [[ "$name" == \#* ]] && continue
+      id="${net}_$name"
+      set +e
+      "$solve" $args --lifetime 100 < "$dir/$net.net" > "$dir/$id.txt" \
+        2> /dev/null
+      rc=$?
+      set -e
+      want="$(awk -v k="$id" '$1 == k {print $2}' "$golden/exit_codes.txt")"
+      if [[ "$rc" != "$want" ]]; then
+        echo "ci: solve golden $id: exit $rc, expected $want" >&2
         exit 1
       fi
-    done
-    "$solve" ira --lifetime 100 < "$dir/$net.net" > "$dir/${net}_direct.txt"
-    for extra in "" "--variant mrlc"; do
-      if ! "$solve" ira $extra --lifetime 100 --budget 1000000000 \
-          < "$dir/$net.net" > "$dir/${net}_anytime.txt"; then
-        echo "ci: variant parity: anytime ${extra:-ira} did not exit 0 on $net" >&2
+      if ! cmp -s "$golden/$id.txt" "$dir/$id.txt"; then
+        echo "ci: solve golden $id: stdout differs from the golden" >&2
         exit 1
       fi
-      if ! cmp -s "$dir/${net}_direct.txt" "$dir/${net}_anytime.txt"; then
-        echo "ci: variant parity: anytime ${extra:-ira} differs from the direct solve on $net" >&2
-        exit 1
-      fi
-    done
+    done < "$golden/cases.txt"
   done
   if ! "$bindir/tests/test_variant" \
       --gtest_filter='*BruteForce*' > "$dir/bruteforce.log" 2>&1; then
     cat "$dir/bruteforce.log" >&2
-    echo "ci: variant parity: brute-force optimality suite failed" >&2
+    echo "ci: solve golden gate: brute-force optimality suite failed" >&2
     exit 1
   fi
-  echo "ci[$label]: --variant mrlc and the anytime pair byte-identical, brute-force optimality clean"
+  echo "ci[$label]: every solve golden reproduced, brute-force optimality clean"
 }
 
 # Benchmark golden gate: short seeded runs of every perfbench workload.
@@ -252,8 +246,8 @@ perfbench_gate() {
 }
 
 # Service smoke: one daemon, one socket, the whole robustness contract.
-# The service must answer with the *same bytes* as the one-shot anytime
-# solver (`mrlc_solve ira --budget <huge>` — the direct-bound path the
+# The service must answer with the *same bytes* as the one-shot budgeted
+# solve (`mrlc_solve ira --budget <huge>` — the anytime contract the
 # service runs), turn an injected worker crash and a corrupt payload into
 # typed replies without dying, serve a repeated topology from the warm
 # cache byte-identically, and drain on SIGTERM with exit 0 and a final
@@ -270,8 +264,8 @@ service_smoke() {
 
   "$gen" dfl --nodes 16 --seed 7 > "$dir/a.net"
   "$gen" random --nodes 14 --seed 11 > "$dir/b.net"
-  # One-shot reference: the service always solves through the anytime
-  # layer (direct bound), so the parity target is `ira` with a budget.
+  # One-shot reference: the service always attaches a budget (the anytime
+  # contract, direct bound), so the parity target is `ira` with a budget.
   "$solve" ira --lifetime 100 --budget 1000000000 < "$dir/a.net" \
     > "$dir/oneshot.tree"
 
@@ -385,7 +379,7 @@ corrupt_corpus() {
 
 [[ $run_release -eq 1 ]] && fault_smoke "$repo/build-release" release
 [[ $run_release -eq 1 ]] && engine_parity_smoke "$repo/build-release" release
-[[ $run_release -eq 1 ]] && variant_parity_smoke "$repo/build-release" release
+[[ $run_release -eq 1 ]] && solve_golden_smoke "$repo/build-release" release
 [[ $run_release -eq 1 ]] && perfbench_gate
 [[ $run_release -eq 1 ]] && service_smoke "$repo/build-release" release
 [[ $run_asan -eq 1 ]] && corrupt_corpus "$repo/build-asan/tools/mrlc_solve" asan

@@ -25,7 +25,7 @@
 /// The token never throws by itself.  Loops poll `exhausted()` (or the
 /// return value of `charge`) at their deterministic checkpoints and unwind
 /// through their own typed paths (`lp::SolveStatus::kInterrupted`,
-/// `BudgetExhaustedError`), which the anytime layer (`core/anytime.hpp`)
+/// `BudgetExhaustedError`), which `core::solve` (`core/solve.hpp`)
 /// converts into a typed status plus the best incumbent — never an
 /// exception at the public API.
 
@@ -46,7 +46,7 @@ class Budget {
   /// Caps the total chargeable work at `units` (>= 0).  Zero is a *hard*
   /// zero: the token reports `exhausted()` immediately, before any charge,
   /// so callers that check at their entry checkpoint (the IRA outer loop,
-  /// the cut loop) never start the work — the anytime layer then returns
+  /// the cut loop) never start the work — `core::solve` then returns
   /// the seeded incumbent with zero units used.  Unset by default
   /// (unlimited).
   void set_work_limit(std::int64_t units) {

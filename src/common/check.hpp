@@ -26,12 +26,23 @@ class InfeasibleError : public std::runtime_error {
 
 /// Exception thrown inside the solver when a `Budget` (common/budget.hpp)
 /// runs out before the algorithm converges.  Internal control flow only:
-/// the anytime layer (`core::solve_anytime`) catches it and returns the
-/// best incumbent with a typed status, so budget exhaustion never escapes
-/// the public anytime API as an exception.
+/// `core::solve` catches it and returns the best incumbent with a typed
+/// status, so budget exhaustion never escapes the front door as an
+/// exception.
 class BudgetExhaustedError : public std::runtime_error {
  public:
   explicit BudgetExhaustedError(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
+/// Exception thrown inside the solver when an LP solve stops at a cap —
+/// the cutting-plane round cap (`IraOptions::max_cut_rounds`) or the
+/// simplex pivot cap — before it converges.  Internal control flow like
+/// `BudgetExhaustedError`: `core::solve` turns it into
+/// `SolveStatus::kNotConverged` with a seeded incumbent.
+class NotConvergedError : public std::runtime_error {
+ public:
+  explicit NotConvergedError(const std::string& what)
       : std::runtime_error(what) {}
 };
 

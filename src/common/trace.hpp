@@ -12,7 +12,7 @@
 /// calls and threads, so per-phase totals aggregate naturally over a whole
 /// run (or a whole `ThreadPool::for_each` fan-out).
 ///
-///     void IterativeRelaxation::solve(...) {
+///     SolveResult run_variant_ira(...) {
 ///       trace::ScopedPhase phase("ira");          // path: ira
 ///       ...
 ///       { trace::ScopedPhase lp("cut_lp"); ... }  // path: ira/cut_lp

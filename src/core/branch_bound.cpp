@@ -339,11 +339,12 @@ void seed_variant_mst(const wsn::Network& net, BbProblem& problem) {
   problem.warm_edges = mst->edges;
 }
 
-}  // namespace
-
-std::optional<BranchBoundResult> branch_bound_mrlc(const wsn::Network& net,
-                                                   double lifetime_bound,
-                                                   const BranchBoundOptions& options) {
+/// mrlc: children caps floored to integers at LC, searched under the
+/// native -ln q weights with the degree-capped greedy tree as the warm
+/// start.  Returns nullopt when no spanning tree satisfies the caps.
+std::optional<BranchBoundResult> search_mrlc(
+    const wsn::Network& net, double lifetime_bound,
+    const BranchBoundOptions& options) {
   trace::ScopedPhase phase("branch_bound");
   net.validate();
   MRLC_REQUIRE(lifetime_bound > 0.0, "lifetime bound must be positive");
@@ -386,8 +387,6 @@ std::optional<BranchBoundResult> branch_bound_mrlc(const wsn::Network& net,
   return out;
 }
 
-namespace {
-
 /// max_lifetime: exact binary search over the discrete lifetime ladder —
 /// a rung is reachable iff the (exact) mrlc search at that bound finds any
 /// tree, so unlike the LP-probed scan this answer is the true maximum.
@@ -404,7 +403,7 @@ std::optional<BranchBoundResult> branch_bound_max_lifetime(
   std::size_t hi = ladder.size();
   auto probe = [&](std::size_t i) {
     std::optional<BranchBoundResult> res =
-        branch_bound_mrlc(net, ladder[i], options);
+        search_mrlc(net, ladder[i], options);
     if (res.has_value()) {
       explored += res->nodes_explored;
       complete = complete && res->complete;
@@ -437,7 +436,7 @@ std::optional<BranchBoundResult> branch_bound_variant(
     VariantId id, const wsn::Network& net, double bound,
     const BranchBoundOptions& options) {
   if (id == VariantId::kMrlc) {
-    return branch_bound_mrlc(net, bound, options);
+    return search_mrlc(net, bound, options);
   }
   if (id == VariantId::kMaxLifetime) {
     return branch_bound_max_lifetime(net, bound, options);

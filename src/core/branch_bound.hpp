@@ -56,23 +56,11 @@ struct BranchBoundResult {
   bool complete = true;
 };
 
-/// \brief Minimum-cost aggregation tree with lifetime >= `lifetime_bound`.
-/// \param net  the network instance (must be connected to have a solution).
-/// \param lifetime_bound  required network lifetime LC, in rounds.
-/// \param options  search budget knobs.
-/// \return the provably optimal tree (check `complete` when a cooperative
-///         budget is attached), or nullopt when no spanning tree satisfies
-///         the bound.
-/// \throws std::invalid_argument when the search exceeds the node budget.
-/// \throws BudgetExhaustedError when a cooperative budget runs out before
-///         any feasible tree is found.
-std::optional<BranchBoundResult> branch_bound_mrlc(
-    const wsn::Network& net, double lifetime_bound,
-    const BranchBoundOptions& options = {});
-
-/// \brief Exact solve of any problem variant by the same search.
+/// \brief Exact solve of a problem variant by branch-and-bound.
 ///
-/// * `mrlc` delegates to `branch_bound_mrlc` (bit-identical).
+/// * `mrlc` returns the minimum-cost tree with lifetime >= `bound`: the
+///   children caps are floored to integers and the degree-capped greedy
+///   tree warm-starts the search.
 /// * `etx` / `min_energy` search under the variant's edge costs with the
 ///   variant's (weighted) degree rows enforced on partial solutions; the
 ///   returned tree is provably optimal over the trees satisfying those
@@ -80,10 +68,14 @@ std::optional<BranchBoundResult> branch_bound_mrlc(
 ///   the LP relaxation certifies against).
 /// * `max_lifetime` binary-searches the discrete lifetime ladder with an
 ///   exact feasibility search per rung, so unlike the LP-probed
-///   `solve_variant` scan its answer is the true maximum lifetime.
-/// \return the optimal tree or nullopt when no spanning tree satisfies the
+///   `core::solve` scan its answer is the true maximum lifetime.
+/// \return the optimal tree (check `complete` when a cooperative budget is
+///         attached) or nullopt when no spanning tree satisfies the
 ///         variant's rows at `bound` (never nullopt for min_energy on a
 ///         connected topology).
+/// \throws std::invalid_argument when the search exceeds the node budget.
+/// \throws BudgetExhaustedError when a cooperative budget runs out before
+///         any feasible tree is found.
 std::optional<BranchBoundResult> branch_bound_variant(
     VariantId id, const wsn::Network& net, double bound,
     const BranchBoundOptions& options = {});

@@ -23,8 +23,9 @@ bool lp_lifetime_feasible(const wsn::Network& net, double bound,
   cut_options.max_rounds = options.max_cut_rounds;
   cut_options.warm_start = options.warm_start;
   const CutLpResult result = solve_with_subtour_cuts(formulation, cut_options);
-  MRLC_ENSURE(result.status != lp::SolveStatus::kIterationLimit,
-              "LP feasibility probe did not converge");
+  if (result.status == lp::SolveStatus::kIterationLimit) {
+    throw NotConvergedError("LP feasibility probe did not converge");
+  }
   return result.status == lp::SolveStatus::kOptimal;
 }
 

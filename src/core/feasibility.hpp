@@ -19,7 +19,7 @@
 /// The true maximum lies in [lower, upper]; on the instances in this
 /// repository the bracket is tight (see tests/feasibility_test.cpp).
 
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "wsn/network.hpp"
 
 namespace mrlc::core {
@@ -31,6 +31,7 @@ namespace mrlc::core {
 /// \param options  simplex/cut settings forwarded to the LP solve.
 /// \return true iff LP(G, bound, V) has a fractional solution; a `false`
 ///         answer proves no aggregation tree of lifetime >= `bound` exists.
+/// \throws NotConvergedError when the cut loop stops at its round cap.
 bool lp_lifetime_feasible(const wsn::Network& net, double bound,
                           const IraOptions& options = {});
 

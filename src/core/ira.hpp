@@ -20,113 +20,18 @@
 /// aggregation tree with lifetime >= LC exists, or (b) returns one whose
 /// cost is at most OPT(L').
 
-#include <optional>
-
-#include "lp/simplex.hpp"
-#include "wsn/aggregation_tree.hpp"
-#include "wsn/network.hpp"
+#include "core/solve.hpp"
 
 namespace mrlc::core {
 
-class SubtourCutPool;  // core/separation.hpp
+/// The engine's raw result: a `SolveResult` whose status is always
+/// kOptimal (every other outcome throws).
+using IraResult = SolveResult;
 
-/// Which internal bound the LP's degree rows encode.
-enum class BoundMode {
-  /// The paper's Line 3: L' = I_min*LC / (I_min - 2*Rx*LC), about two
-  /// children of headroom stricter than LC.  Guarantees the returned tree
-  /// meets LC, but is undefined/infeasible for aggressive LC (any bound
-  /// within two children of the maximum achievable lifetime).  This is the
-  /// regime where Theorem 2's token argument holds unconditionally.
-  kPaperStrict,
-  /// L' = LC: the Singh–Lau-style relaxation.  Cost is at most OPT(LC) and
-  /// the lifetime constraint may be violated by up to two children per node
-  /// in theory (check `IraResult::meets_bound`; violations are rare in
-  /// practice because the extreme points are near-integral).  The paper's
-  /// own Fig. 7 constraint levels (up to 2.5x L_AAML) are only expressible
-  /// in this mode — see EXPERIMENTS.md.
-  kDirect,
-};
-
-/// Live progress an IRA solve publishes as it runs, so that a caller that
-/// interrupts the solve (budget exhaustion) still has something certified
-/// to report.  In `kDirect` mode the first outer iteration's LP optimum is
-/// a relaxation of the full problem at bound LC, hence a valid lower bound
-/// on OPT(LC); in `kPaperStrict` mode the LP runs at L' > LC and the value
-/// bounds OPT(L') instead — the anytime layer only trusts it under kDirect.
-struct IraProgress {
-  double first_lp_objective = 0.0;
-  bool first_lp_valid = false;
-};
-
-struct IraOptions {
-  BoundMode bound_mode = BoundMode::kPaperStrict;
-  /// x_e values at or below this are treated as zero when pruning edges.
-  double zero_tolerance = 1e-7;
-  /// Cutting-plane rounds per LP solve.
-  int max_cut_rounds = 200;
-  /// Numerical safety net: when no vertex passes the strict Line-8 test
-  /// (cannot happen at an exact extreme point, but can after floating-point
-  /// cuts), remove the vertex with the largest lifetime slack instead of
-  /// failing.  The result still gets a final lifetime check.
-  bool allow_slack_fallback = true;
-  /// Reoptimize cut rounds from the previous optimal basis (dual simplex,
-  /// `lp::LpInstance`) instead of cold two-phase rebuilds, and share a
-  /// subtour cut pool across the outer iterations.  Identical trees and
-  /// costs either way (warm starting changes pivot paths, never the
-  /// optimum); `false` reproduces the historical cold trajectories exactly
-  /// and exists for A/B verification.
-  bool warm_start = true;
-  lp::SimplexOptions simplex;
-  /// Optional caller-owned subtour cut pool shared *across* solves.  By
-  /// default each solve keeps a private pool that lives for its outer
-  /// iterations only; the solver service passes one pool per cached
-  /// topology here so sets separated for one request seed the next
-  /// (different LC, same network).  Pooled sets only ever shortcut the
-  /// separation *search* — every remembered set is re-verified against the
-  /// current fractional point before a row is added — so a warm solve is
-  /// exactly as correct as a cold one, but on degenerate LPs it may settle
-  /// on a different (equally valid) optimal vertex and hence a different
-  /// tree than a pool-free run.  Callers that need byte-reproducibility
-  /// against one-shot runs must leave this null (the service result cache
-  /// covers exact repeats).
-  SubtourCutPool* shared_pool = nullptr;
-  /// Optional cooperative budget (not owned), threaded through every LP
-  /// pivot and separation max-flow.  When it runs out, `solve` throws
-  /// `BudgetExhaustedError` at the next deterministic checkpoint — use the
-  /// anytime layer (`core::solve_anytime`) for a non-throwing incumbent +
-  /// bound interface.  Null means unlimited and leaves the solve
-  /// bit-identical to a budget-free run.
-  Budget* budget = nullptr;
-  /// Optional progress sink (not owned): written as milestones complete so
-  /// an interrupted solve still yields a certified dual bound.
-  IraProgress* progress = nullptr;
-};
-
-struct IraStats {
-  int outer_iterations = 0;
-  int lp_solves = 0;
-  long long simplex_iterations = 0;
-  int cuts_added = 0;
-  int edges_removed = 0;
-  int constraints_removed = 0;
-  /// Warm-start attempts that abandoned their basis for a cold rebuild —
-  /// a numerical-trouble signal (the service cache quarantines entries
-  /// whose solve reported any).
-  long long cold_fallbacks = 0;
-  bool used_fallback = false;
-};
-
-struct IraResult {
-  wsn::AggregationTree tree;
-  double cost = 0.0;
-  double reliability = 0.0;
-  double lifetime = 0.0;           ///< achieved network lifetime (rounds)
-  double strict_bound = 0.0;       ///< the L' used internally
-  bool meets_bound = false;        ///< lifetime >= LC (always true unless the
-                                   ///< numerical fallback fired)
-  IraStats stats;
-};
-
+/// \brief The engine's raw, throwing mrlc call.  Kept for the repository
+/// benchmark (perfbench/) and for engine-level tests; every other caller
+/// goes through `core::solve`, which adds the typed statuses, kAuto, the
+/// anytime contract and certification on top of the same engine.
 class IterativeRelaxation {
  public:
   explicit IterativeRelaxation(IraOptions options = {}) : options_(options) {}
@@ -135,12 +40,17 @@ class IterativeRelaxation {
   /// \param net  validated, connected network instance.
   /// \param lifetime_bound  the required network lifetime LC, in rounds
   ///        (> 0).
-  /// \return the constructed tree with its cost/reliability/lifetime and
-  ///         per-solve statistics; check `meets_bound` in kDirect mode.
+  /// \return the constructed tree with its cost/reliability/lifetime, the
+  ///         L' used (`internal_bound`) and per-solve statistics; check
+  ///         `meets_bound` in kDirect mode.
+  /// \throws std::invalid_argument for bound_mode kAuto (only
+  ///         `core::solve` resolves it).
   /// \throws InfeasibleError when no aggregation tree with lifetime >= LC
   ///         exists (LP infeasible), when the topology is disconnected, or
   ///         when LC is too aggressive for the paper's L' construction
   ///         (I_min - 2*Rx*LC <= 0, which makes L' meaningless).
+  /// \throws BudgetExhaustedError / NotConvergedError when an attached
+  ///         budget runs out or an LP stops at its cap.
   IraResult solve(const wsn::Network& net, double lifetime_bound) const;
 
   /// \brief The strict internal bound L' (Line 3 of Algorithm 1); exposed

@@ -90,7 +90,7 @@ struct CutLpResult {
   /// `objective` holds the optimum of the *last completed* round.  Every
   /// completed round solves a relaxation of the fully-cut LP, so on
   /// interruption that value is still a valid lower bound on it — this is
-  /// what the anytime layer reports as the dual bound.
+  /// what `core::solve` reports as the dual bound.
   bool has_objective = false;
   /// Per edge-id value of x (size = edge_count of the working graph).
   std::vector<double> edge_values;

@@ -26,31 +26,22 @@
 /// (verified per-instance before returning), at the price of declaring
 /// some borderline-feasible instances infeasible.
 
-#include "core/ira.hpp"
-#include "wsn/aggregation_tree.hpp"
-#include "wsn/network.hpp"
+#include "core/solve.hpp"
 
 namespace mrlc::core {
-
-struct RetxIraResult {
-  wsn::AggregationTree tree;
-  double cost = 0.0;
-  double reliability = 0.0;
-  double lifetime_retx = 0.0;  ///< exact asymmetric retx lifetime (rounds)
-  bool meets_bound = false;
-  IraStats stats;
-};
 
 /// \brief Minimum-cost tree whose retransmission-aware lifetime is >= LC
 /// (conservative LP; see file comment).
 /// \param net  the network instance.
 /// \param lifetime_bound  required retransmission-aware lifetime, rounds.
 /// \param options  IRA knobs; bound_mode is ignored (caps are direct).
-/// \return the tree with its exact asymmetric retx lifetime; `meets_bound`
-///         records the final per-instance verification.
+/// \return the tree with its exact asymmetric retx lifetime in
+///         `bound_metric`; `meets_bound` records the final per-instance
+///         verification.  Like `IterativeRelaxation::solve` this is a raw
+///         engine call: the status is always kOptimal.
 /// \throws InfeasibleError when the conservative LP has no solution or the
 ///         topology is disconnected.
-RetxIraResult retx_aware_ira(const wsn::Network& net, double lifetime_bound,
-                             const IraOptions& options = {});
+SolveResult retx_aware_ira(const wsn::Network& net, double lifetime_bound,
+                           const IraOptions& options = {});
 
 }  // namespace mrlc::core

@@ -1,14 +1,9 @@
 #include "core/variant.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
-#include "baselines/aaml.hpp"
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
-#include "core/feasibility.hpp"
-#include "graph/mst.hpp"
+#include "core/ira.hpp"
 #include "wsn/metrics.hpp"
 
 namespace mrlc::core {
@@ -164,10 +159,6 @@ class MrlcVariant final : public ProblemVariant {
            "the LP keeps x(E(V)) = n-1 over the support)";
   }
 
-  const char* fallback_disabled_message() const noexcept override {
-    return "no removable lifetime constraint found (numerical degeneracy) "
-           "and the slack fallback is disabled";
-  }
 
   const char* lp_failed_message() const noexcept override {
     return "LP solve failed to converge";
@@ -263,9 +254,6 @@ class EtxVariant final : public EnergyRowsBase {
     return "edge pruning disconnected the etx support";
   }
 
-  const char* fallback_disabled_message() const noexcept override {
-    return "no removable etx energy constraint and the fallback is disabled";
-  }
 
   const char* lp_failed_message() const noexcept override {
     return "etx LP failed to converge";
@@ -319,10 +307,6 @@ class RetxMrlcVariant final : public EnergyRowsBase {
     return "edge pruning disconnected the retx-aware support";
   }
 
-  const char* fallback_disabled_message() const noexcept override {
-    return "no removable retx-lifetime constraint and the fallback is "
-           "disabled";
-  }
 
   const char* lp_failed_message() const noexcept override {
     return "retx-aware LP failed to converge";
@@ -399,9 +383,6 @@ class MinEnergyVariant final : public ProblemVariant {
     return "edge pruning disconnected the min-energy support";
   }
 
-  const char* fallback_disabled_message() const noexcept override {
-    return "min-energy variant has no removable rows";  // unreachable
-  }
 
   const char* lp_failed_message() const noexcept override {
     return "min-energy LP failed to converge";
@@ -478,10 +459,6 @@ class MaxLifetimeVariant final : public ProblemVariant {
     return "edge pruning disconnected the max-lifetime support";
   }
 
-  const char* fallback_disabled_message() const noexcept override {
-    return "no removable lifetime constraint in the max-lifetime probe and "
-           "the fallback is disabled";
-  }
 
   const char* lp_failed_message() const noexcept override {
     return "max-lifetime probe LP failed to converge";
@@ -513,202 +490,12 @@ const ProblemVariant& problem_variant(VariantId id) {
 }
 
 const ProblemVariant& mrlc_variant(BoundMode mode) {
+  MRLC_REQUIRE(mode != BoundMode::kAuto,
+               "bound mode kAuto is resolved by core::solve only");
   return mode == BoundMode::kPaperStrict ? kMrlcStrict : kMrlcDirect;
 }
 
 const ProblemVariant& retx_mrlc_variant() { return kRetxMrlc; }
-
-namespace {
-
-/// Bumps the lazily-registered per-variant solve counter and the variant
-/// gauge (mrlc_solve eagerly registers all names so every metric document
-/// carries the full set).
-void record_variant_solve(const ProblemVariant& variant) {
-  metrics::counter(std::string("ira.variant_solves.") + variant.name()).add();
-  metrics::gauge("solver.variant").set(static_cast<double>(variant.id()));
-}
-
-}  // namespace
-
-VariantResult run_variant_ira(const ProblemVariant& variant,
-                              const wsn::Network& net, double requested_bound,
-                              const IraOptions& options) {
-  const bool metered = variant.emit_ira_metrics();
-  std::optional<trace::ScopedPhase> phase;
-  if (metered) {
-    phase.emplace("ira");
-    static metrics::Counter& solves = metrics::counter("ira.solves");
-    solves.add();
-    record_variant_solve(variant);
-  }
-  net.validate();
-  MRLC_REQUIRE(requested_bound > 0.0, "lifetime bound must be positive");
-  const double internal = variant.internal_bound(net, requested_bound);
-  const int n = net.node_count();
-
-  graph::Graph working = net.topology();  // the engine mutates a working copy
-  // mrlc keeps the native -ln q edge weights (bit-identical objective);
-  // every other variant re-weights the working copy so both the LP
-  // objective and the final MST tier minimize the variant's edge cost.
-  if (variant.id() != VariantId::kMrlc) {
-    for (graph::EdgeId id : working.alive_edge_ids()) {
-      working.set_weight(id, variant.edge_cost(net, id));
-    }
-  }
-  const bool start_constrained = variant.constrained_at_start();
-  std::vector<bool> constrained(static_cast<std::size_t>(n),
-                                start_constrained);
-  int constrained_count = start_constrained ? n : 0;
-
-  IraStats stats;
-  // One cut pool per solve: violated sets survive across outer iterations
-  // (which rebuild the LP and would otherwise forget every subtour row) and
-  // are rechecked before any new max-flow sweeps.
-  SubtourCutPool cut_pool;
-  CutLoopOptions cut_options;
-  cut_options.simplex = options.simplex;
-  cut_options.max_rounds = options.max_cut_rounds;
-  cut_options.warm_start = options.warm_start;
-  // The pool is deliberately not gated on warm_start: separation then sees
-  // identical fractional points in both modes, so warm vs cold differ only
-  // in pivot paths — the invariant the warm/cold property tests pin down.
-  // A caller-owned shared pool (the service warm cache) replaces the
-  // per-solve one wholesale, so remembered sets outlive this solve.
-  cut_options.pool =
-      options.shared_pool != nullptr ? options.shared_pool : &cut_pool;
-  cut_options.budget = options.budget;
-
-  // An unconstrained variant (min_energy) still owes one certified LP
-  // round; `first` lets it through with W = ∅.
-  bool first = true;
-  while (first || constrained_count > 0) {
-    first = false;
-    // Deterministic checkpoint: a budget that ran out during the previous
-    // iteration's pruning stops here before the next (expensive) LP tier.
-    if (options.budget != nullptr && options.budget->exhausted()) {
-      throw BudgetExhaustedError(variant.checkpoint_message());
-    }
-    ++stats.outer_iterations;
-
-    DegreeBounds rows = variant.bounds(net, constrained, internal);
-    MrlcLpFormulation formulation(working, std::move(rows.caps),
-                                  std::move(rows.row_weight));
-    const CutLpResult lp_result =
-        solve_with_subtour_cuts(formulation, cut_options);
-    stats.lp_solves += lp_result.lp_solves;
-    stats.simplex_iterations += lp_result.simplex_iterations;
-    stats.cuts_added += lp_result.cuts_added;
-    stats.cold_fallbacks += lp_result.cold_fallbacks;
-
-    // Publish the dual bound as soon as the first outer iteration has any
-    // completed cut-round optimum — every completed round solves a
-    // relaxation of the full problem (see IraProgress for the mode caveat),
-    // so this is valid even when the same solve is interrupted just after.
-    if (options.progress != nullptr && stats.outer_iterations == 1 &&
-        lp_result.has_objective) {
-      options.progress->first_lp_objective = lp_result.objective;
-      options.progress->first_lp_valid = true;
-    }
-
-    if (lp_result.status == lp::SolveStatus::kInfeasible) {
-      throw InfeasibleError(
-          variant.infeasible_message(requested_bound, internal));
-    }
-    if (lp_result.status == lp::SolveStatus::kInterrupted) {
-      throw BudgetExhaustedError(variant.interrupted_message(
-          stats.outer_iterations, stats.lp_solves));
-    }
-    MRLC_ENSURE(lp_result.status == lp::SolveStatus::kOptimal,
-                variant.lp_failed_message());
-
-    // Line 6: drop edges outside the support of the extreme point.
-    for (graph::EdgeId id : working.alive_edge_ids()) {
-      if (lp_result.edge_values[static_cast<std::size_t>(id)] <=
-          options.zero_tolerance) {
-        working.remove_edge(id);
-        ++stats.edges_removed;
-      }
-    }
-    if (constrained_count == 0) break;  // W = ∅ from the start (min_energy)
-
-    // Line 8: relax every vertex whose constraint can no longer bind.
-    int removed_this_round = 0;
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (!constrained[static_cast<std::size_t>(v)]) continue;
-      if (variant.row_removable(net, working, v, requested_bound)) {
-        constrained[static_cast<std::size_t>(v)] = false;
-        --constrained_count;
-        ++removed_this_round;
-        ++stats.constraints_removed;
-      }
-    }
-
-    if (removed_this_round == 0) {
-      // Theorem 2 rules this out at exact extreme points; floating-point
-      // cuts can produce it.  Either fall back (remove the slackest vertex)
-      // or give up loudly.
-      MRLC_ENSURE(options.allow_slack_fallback,
-                  variant.fallback_disabled_message());
-      stats.used_fallback = true;
-      graph::VertexId best = -1;
-      double best_slack = -std::numeric_limits<double>::infinity();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        if (!constrained[static_cast<std::size_t>(v)]) continue;
-        const double slack =
-            variant.removal_slack(net, working, v, requested_bound);
-        if (slack > best_slack) {
-          best_slack = slack;
-          best = v;
-        }
-      }
-      MRLC_ENSURE(best != -1, "constrained set empty despite counter");
-      constrained[static_cast<std::size_t>(best)] = false;
-      --constrained_count;
-      ++stats.constraints_removed;
-    }
-  }
-
-  if (metered) {
-    static metrics::Counter& iterations =
-        metrics::counter("ira.outer_iterations");
-    static metrics::Counter& lp_solves = metrics::counter("ira.lp_solves");
-    static metrics::Counter& cuts = metrics::counter("ira.cuts_added");
-    static metrics::Counter& edges = metrics::counter("ira.edges_removed");
-    static metrics::Counter& relaxed =
-        metrics::counter("ira.constraints_relaxed");
-    static metrics::Counter& fallbacks =
-        metrics::counter("ira.slack_fallbacks");
-    static metrics::Histogram& iter_hist =
-        metrics::histogram("ira.iterations_per_solve");
-    iterations.add(stats.outer_iterations);
-    lp_solves.add(stats.lp_solves);
-    cuts.add(stats.cuts_added);
-    edges.add(stats.edges_removed);
-    relaxed.add(stats.constraints_removed);
-    if (stats.used_fallback) fallbacks.add();
-    iter_hist.record(stats.outer_iterations);
-  }
-
-  // W = ∅: LP(G, L', ∅) is the Subtour LP, whose extreme points are
-  // integral (Lemma 1) — equivalently, the MST of the surviving edges.
-  const auto mst = graph::prim_mst(working, net.sink());
-  if (!mst.has_value()) {
-    throw InfeasibleError(variant.disconnected_message());
-  }
-
-  VariantResult out;
-  out.variant = variant.id();
-  out.tree = wsn::AggregationTree::from_edges(net, mst->edges);
-  out.objective = variant.tree_objective(net, out.tree);
-  out.cost = wsn::tree_cost(net, out.tree);
-  out.reliability = wsn::tree_reliability(net, out.tree);
-  out.lifetime = wsn::network_lifetime(net, out.tree);
-  out.bound_metric = variant.bound_metric(net, out.tree);
-  out.internal_bound = internal;
-  out.meets_bound = variant.tree_feasible(net, out.tree, requested_bound);
-  out.stats = stats;
-  return out;
-}
 
 std::vector<double> lifetime_candidates(const wsn::Network& net) {
   const int n = net.node_count();
@@ -723,133 +510,6 @@ std::vector<double> lifetime_candidates(const wsn::Network& net) {
   std::sort(ladder.begin(), ladder.end());
   ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
   return ladder;
-}
-
-namespace {
-
-/// max_lifetime: the lifetime of any tree is I(v)/(Tx + Rx*k) for its
-/// bottleneck node v with k children, so the achievable values form a small
-/// discrete ladder.  The scan finds the top rung any tree can stand on:
-/// LP feasibility probes certify the upper bound (infeasible at c => no
-/// tree reaches c), direct-mode IRA solves construct trees, and the
-/// lexicographic-AAML tree backstops candidates the near-integral LP
-/// constructs but IRA's bounded violation misses.
-VariantResult solve_max_lifetime(const wsn::Network& net, double floor_bound,
-                                 const IraOptions& options) {
-  const ProblemVariant& variant = problem_variant(VariantId::kMaxLifetime);
-  trace::ScopedPhase phase("ira");
-  static metrics::Counter& solves = metrics::counter("ira.solves");
-  solves.add();
-  record_variant_solve(variant);
-  net.validate();
-  MRLC_REQUIRE(floor_bound > 0.0, "lifetime bound must be positive");
-
-  const std::vector<double> ladder = lifetime_candidates(net);
-
-  IraOptions probe_options = options;
-  probe_options.bound_mode = BoundMode::kDirect;
-  probe_options.progress = nullptr;
-
-  // Binary search the top LP-feasible rung: lp_lifetime_feasible is
-  // monotone (caps only grow as the bound shrinks), so everything above
-  // `hi` is certified unreachable.
-  IraStats stats;
-  auto checkpoint = [&]() {
-    if (options.budget != nullptr && options.budget->exhausted()) {
-      throw BudgetExhaustedError(variant.checkpoint_message());
-    }
-  };
-  std::size_t lo = 0;              // invariant: ladder[lo] is LP-feasible
-  std::size_t hi = ladder.size();  // invariant: rungs >= hi are infeasible
-  checkpoint();
-  if (!lp_lifetime_feasible(net, ladder.front(), probe_options)) {
-    throw InfeasibleError(variant.infeasible_message(floor_bound, 0.0));
-  }
-  while (lo + 1 < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    checkpoint();
-    ++stats.outer_iterations;
-    if (lp_lifetime_feasible(net, ladder[mid], probe_options)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  const double certified_upper = ladder[lo];
-
-  // Constructive side: walk the feasible rungs downward with IRA, keeping
-  // the lexicographic-AAML tree as the deployable backstop.
-  baselines::AamlOptions aaml_options;
-  aaml_options.mode = baselines::AamlSearchMode::kLexicographic;
-  aaml_options.initial = baselines::AamlInitialTree::kBfs;
-  const baselines::AamlResult aaml = baselines::aaml(net, aaml_options);
-
-  std::optional<wsn::AggregationTree> best_tree;
-  double best_lifetime = -1.0;
-  for (std::size_t i = lo + 1; i-- > 0;) {
-    const double candidate = ladder[i];
-    if (candidate <= aaml.lifetime) break;  // the backstop already wins
-    checkpoint();
-    try {
-      const IraResult res =
-          IterativeRelaxation(probe_options).solve(net, candidate);
-      stats.outer_iterations += res.stats.outer_iterations;
-      stats.lp_solves += res.stats.lp_solves;
-      stats.simplex_iterations += res.stats.simplex_iterations;
-      stats.cuts_added += res.stats.cuts_added;
-      stats.edges_removed += res.stats.edges_removed;
-      stats.constraints_removed += res.stats.constraints_removed;
-      stats.cold_fallbacks += res.stats.cold_fallbacks;
-      stats.used_fallback = stats.used_fallback || res.stats.used_fallback;
-      if (res.lifetime > best_lifetime) {
-        best_lifetime = res.lifetime;
-        best_tree = res.tree;
-      }
-      if (res.meets_bound) break;  // top reachable rung found
-    } catch (const InfeasibleError&) {
-      // LP-feasible but no integral tree survived the relaxation at this
-      // rung; step down.
-    }
-  }
-  if (!best_tree.has_value() || aaml.lifetime > best_lifetime) {
-    best_tree = aaml.tree;
-    best_lifetime = aaml.lifetime;
-  }
-
-  VariantResult out;
-  out.variant = VariantId::kMaxLifetime;
-  out.tree = *best_tree;
-  out.objective = wsn::network_lifetime(net, out.tree);
-  out.cost = wsn::tree_cost(net, out.tree);
-  out.reliability = wsn::tree_reliability(net, out.tree);
-  out.lifetime = out.objective;
-  out.bound_metric = out.objective;
-  out.internal_bound = certified_upper;
-  out.meets_bound = out.objective >= floor_bound * (1.0 - 1e-12);
-  out.stats = stats;
-  if (!out.meets_bound) {
-    throw InfeasibleError(
-        variant.infeasible_message(floor_bound, certified_upper));
-  }
-  return out;
-}
-
-}  // namespace
-
-VariantResult solve_variant(VariantId id, const wsn::Network& net,
-                            double bound, const IraOptions& options) {
-  switch (id) {
-    case VariantId::kMrlc:
-      return run_variant_ira(mrlc_variant(options.bound_mode), net, bound,
-                             options);
-    case VariantId::kEtx:
-    case VariantId::kMinEnergy:
-      return run_variant_ira(problem_variant(id), net, bound, options);
-    case VariantId::kMaxLifetime:
-      return solve_max_lifetime(net, bound, options);
-  }
-  MRLC_REQUIRE(false, "unknown problem variant");
-  return {};  // unreachable
 }
 
 }  // namespace mrlc::core

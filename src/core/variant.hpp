@@ -9,7 +9,7 @@
 /// rows" — only the objective coefficients, the rows, and the feasibility
 /// predicate differ.  `ProblemVariant` captures exactly those degrees of
 /// freedom so the IRA loop, the cutting-plane machinery, branch-and-bound,
-/// the anytime layer, and the solver service can be shared verbatim:
+/// `core::solve`, and the solver service can be shared verbatim:
 ///
 /// | id            | objective (min)        | degree rows              |
 /// |---------------|------------------------|--------------------------|
@@ -46,7 +46,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/ira.hpp"
 #include "core/lp_formulation.hpp"
 #include "wsn/aggregation_tree.hpp"
 #include "wsn/network.hpp"
@@ -71,6 +70,28 @@ std::optional<VariantId> variant_from_string(std::string_view name) noexcept;
 
 /// All four variants in declaration order (for sweeps and registration).
 const std::vector<VariantId>& all_variants();
+
+/// Which internal bound the LP's degree rows encode (mrlc only; every
+/// other variant's rows always sit at the requested bound).
+enum class BoundMode {
+  /// The paper's Line 3: L' = I_min*LC / (I_min - 2*Rx*LC), about two
+  /// children of headroom stricter than LC.  Guarantees the returned tree
+  /// meets LC, but is undefined/infeasible for aggressive LC (any bound
+  /// within two children of the maximum achievable lifetime).  This is the
+  /// regime where Theorem 2's token argument holds unconditionally.
+  kPaperStrict,
+  /// L' = LC: the Singh–Lau-style relaxation.  Cost is at most OPT(LC) and
+  /// the lifetime constraint may be violated by up to two children per node
+  /// in theory (check `SolveResult::meets_bound`; violations are rare in
+  /// practice because the extreme points are near-integral).  The paper's
+  /// own Fig. 7 constraint levels (up to 2.5x L_AAML) are only expressible
+  /// in this mode — see EXPERIMENTS.md.
+  kDirect,
+  /// Strict first; when strict fails but LC is LP-achievable, direct;
+  /// otherwise infeasible with the achievable-lifetime bracket attached.
+  /// Only `core::solve` resolves it — the engine rejects it.
+  kAuto,
+};
 
 /// The discrete ladder of achievable tree lifetimes, sorted ascending and
 /// deduplicated: a tree's lifetime is I(v)/(Tx + Rx*k) for its bottleneck
@@ -107,7 +128,7 @@ class ProblemVariant {
 
   /// True when larger objective values are better (max_lifetime).  The
   /// relaxation engine always *minimizes* edge costs; a maximizing variant
-  /// supplies its own solve strategy (see `solve_variant`).
+  /// gets its own solve strategy inside `core::solve`.
   virtual bool maximizing() const noexcept { return false; }
 
   /// One-line optimality-certificate note: what the returned tree's
@@ -183,7 +204,6 @@ class ProblemVariant {
                                           int lp_solves) const = 0;
   virtual const char* checkpoint_message() const noexcept = 0;
   virtual const char* disconnected_message() const noexcept = 0;
-  virtual const char* fallback_disabled_message() const noexcept = 0;
   virtual const char* lp_failed_message() const noexcept = 0;
 };
 
@@ -192,48 +212,12 @@ class ProblemVariant {
 /// reachable via `mrlc_variant(BoundMode::kPaperStrict)`.
 const ProblemVariant& problem_variant(VariantId id);
 
-/// The mrlc variant with an explicit bound mode (IRA owns the default).
+/// The mrlc variant with an explicit bound mode (kPaperStrict or kDirect).
 const ProblemVariant& mrlc_variant(BoundMode mode);
 
 /// Internal adapter used by `retx_aware_ira`: the mrlc objective (-ln q)
-/// under the etx energy rows.  Not a first-class VariantId; exposed so the
-/// historical API keeps its exact behaviour while sharing the engine.
+/// under the etx energy rows.  Not a first-class VariantId; it lets
+/// `retx_aware_ira` keep its exact behaviour while sharing the engine.
 const ProblemVariant& retx_mrlc_variant();
-
-/// Outcome of a variant solve.  `cost`/`reliability`/`lifetime` keep the
-/// paper's plain metrics for cross-variant comparability; `objective` and
-/// `bound_metric` are the variant's own.
-struct VariantResult {
-  VariantId variant = VariantId::kMrlc;
-  wsn::AggregationTree tree;
-  double objective = 0.0;      ///< variant objective of the tree
-  double cost = 0.0;           ///< Σ -ln q (paper cost, all variants)
-  double reliability = 0.0;    ///< Q(T)
-  double lifetime = 0.0;       ///< plain Eq. 1 lifetime (rounds)
-  double bound_metric = 0.0;   ///< metric checked against the bound
-  /// mrlc: the internal L'; max_lifetime: the LP-certified upper bound on
-  /// any tree's lifetime (the optimality certificate); others: the bound.
-  double internal_bound = 0.0;
-  bool meets_bound = false;
-  IraStats stats;
-};
-
-/// \brief Runs the shared iterative-relaxation engine for `variant`.
-/// Exposed for the parity battery; `solve_variant` is the front door.
-VariantResult run_variant_ira(const ProblemVariant& variant,
-                              const wsn::Network& net, double requested_bound,
-                              const IraOptions& options);
-
-/// \brief Solves `net` under the given problem variant.
-/// \param id  which problem to solve.
-/// \param net  validated, connected network instance.
-/// \param bound  user-facing lifetime bound, in rounds (> 0).  For
-///        `max_lifetime` this is a floor: the solve maximizes the lifetime
-///        and reports infeasible only when even the maximum is below it.
-///        For `min_energy` it is advisory (reported via `meets_bound`).
-/// \param options  IRA knobs; `bound_mode` is honoured for mrlc only.
-/// \throws InfeasibleError / BudgetExhaustedError as the plain IRA does.
-VariantResult solve_variant(VariantId id, const wsn::Network& net,
-                            double bound, const IraOptions& options = {});
 
 }  // namespace mrlc::core

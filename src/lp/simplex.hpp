@@ -37,9 +37,9 @@ enum class SolveStatus {
   kUnbounded,
   kIterationLimit,
   /// The attached `Budget` (SimplexOptions::budget) ran out mid-solve.
-  /// Distinct from kIterationLimit (the solver's own pivot cap) so the
-  /// anytime layer can report "budget exhausted" rather than "numerical
-  /// trouble".  The basis is abandoned; callers must not read `values`.
+  /// Distinct from kIterationLimit (the solver's own pivot cap) so
+  /// `core::solve` can report "budget exhausted" rather than "not
+  /// converged".  The basis is abandoned; callers must not read `values`.
   kInterrupted,
 };
 

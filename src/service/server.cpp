@@ -10,7 +10,7 @@
 #include "common/faultpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "core/anytime.hpp"
+#include "core/solve.hpp"
 #include "wsn/io.hpp"
 
 namespace mrlc::service {
@@ -72,7 +72,7 @@ struct SolverService::WorkItem {
   bool skip_solve = false;     ///< cache hit or early invalid
   // -- solve (parallel; owned by exactly one worker) --
   Budget budget;
-  std::optional<core::AnytimeResult> result;
+  std::optional<core::SolveResult> result;
   ResponseStatus status = ResponseStatus::kInternalError;
   std::string detail;
   std::string tree_text;
@@ -273,28 +273,34 @@ void SolverService::process_batch(std::vector<Pending>& batch) {
         fault::note_recovered("service.worker_crash");
       }
       const wsn::Network net = wsn::network_from_string(item.request.network_text);
-      core::AnytimeOptions options;
-      options.ira.shared_pool = item.pool;
-      options.budget = &item.budget;
-      options.variant = item.variant;
-      core::AnytimeResult result =
-          core::solve_anytime(net, item.request.lifetime, options);
+      core::SolveRequest request;
+      request.variant = item.variant;
+      request.bound = item.request.lifetime;
+      request.ira.shared_pool = item.pool;
+      request.ira.budget = &item.budget;
+      core::SolveResult result = core::solve(net, request);
       switch (result.status) {
-        case core::AnytimeStatus::kOptimal:
+        case core::SolveStatus::kOptimal:
           item.status = ResponseStatus::kOk;
           break;
-        case core::AnytimeStatus::kFeasibleBudgetExhausted:
+        case core::SolveStatus::kFeasibleBudgetExhausted:
           item.status = ResponseStatus::kBudgetExhausted;
           break;
-        case core::AnytimeStatus::kCancelled:
+        case core::SolveStatus::kCancelled:
           item.status = ResponseStatus::kCancelled;
           break;
-        case core::AnytimeStatus::kInfeasible:
+        case core::SolveStatus::kInfeasible:
           item.status = ResponseStatus::kInfeasible;
+          break;
+        case core::SolveStatus::kNotConverged:
+          // No wire status of its own: an internal error carrying the
+          // typed message, and no tree.
+          item.status = ResponseStatus::kInternalError;
           break;
       }
       item.detail = result.message;
-      if (result.status != core::AnytimeStatus::kInfeasible) {
+      if (item.status != ResponseStatus::kInfeasible &&
+          item.status != ResponseStatus::kInternalError) {
         item.tree_text = wsn::tree_to_string(result.tree);
       }
       item.result = std::move(result);

@@ -17,7 +17,7 @@
 ///                                 (hit → reply, no solve), pool lease,
 ///                                 fault-injection decisions
 ///              [parallel solve]   `ThreadPool::for_each` over the batch:
-///                                 parse, validate, `core::solve_anytime`
+///                                 parse, validate, `core::solve`
 ///                                 under the per-request `Budget`
 ///              [serial finalize]  admission order: poison audit, result
 ///                                 store, metrics, replies

@@ -11,11 +11,11 @@
 #include <string>
 
 #include "baselines/mst_baseline.hpp"
-#include "core/anytime.hpp"
 #include "core/branch_bound.hpp"
 #include "core/feasibility.hpp"
 #include "core/ira.hpp"
 #include "core/retx_ira.hpp"
+#include "core/solve.hpp"
 #include "helpers.hpp"
 #include "wsn/network.hpp"
 
@@ -128,24 +128,34 @@ TEST(Infeasible, BranchBoundReportsNoTreeOrThrowsTyped) {
   // The exact solver's "no solution" channel is nullopt for unachievable
   // bounds and InfeasibleError (from validate) for broken topologies.
   const testing::ToyNetwork toy;
-  EXPECT_EQ(branch_bound_mrlc(toy.net, kAbsurdBound, {}), std::nullopt);
-  EXPECT_THROW(branch_bound_mrlc(disconnected_network(), 100.0, {}),
-               InfeasibleError);
+  EXPECT_EQ(branch_bound_variant(VariantId::kMrlc, toy.net, kAbsurdBound),
+            std::nullopt);
+  EXPECT_THROW(
+      branch_bound_variant(VariantId::kMrlc, disconnected_network(), 100.0),
+      InfeasibleError);
 }
 
 TEST(Infeasible, AnytimeTurnsInfeasibilityIntoTypedStatus) {
-  // The anytime front end never throws for bad instances: both flavours of
-  // infeasibility come back as kInfeasible with the diagnosis in `message`.
-  const AnytimeResult disconnected =
-      solve_anytime(disconnected_network(), 100.0);
-  EXPECT_EQ(disconnected.status, AnytimeStatus::kInfeasible);
-  EXPECT_NE(disconnected.message.find("connected"), std::string::npos)
-      << disconnected.message;
+  // The front door never throws for bad instances, with or without a
+  // budget: both flavours of infeasibility come back as kInfeasible with
+  // the diagnosis in `message`.
+  Budget unlimited;
+  for (Budget* budget : {static_cast<Budget*>(nullptr), &unlimited}) {
+    SolveRequest request;
+    request.bound = 100.0;
+    request.ira.bound_mode = BoundMode::kDirect;
+    request.ira.budget = budget;
+    const SolveResult disconnected = solve(disconnected_network(), request);
+    EXPECT_EQ(disconnected.status, SolveStatus::kInfeasible);
+    EXPECT_NE(disconnected.message.find("connected"), std::string::npos)
+        << disconnected.message;
 
-  const testing::ToyNetwork toy;
-  const AnytimeResult unachievable = solve_anytime(toy.net, kAbsurdBound);
-  EXPECT_EQ(unachievable.status, AnytimeStatus::kInfeasible);
-  EXPECT_FALSE(unachievable.message.empty());
+    const testing::ToyNetwork toy;
+    request.bound = kAbsurdBound;
+    const SolveResult unachievable = solve(toy.net, request);
+    EXPECT_EQ(unachievable.status, SolveStatus::kInfeasible);
+    EXPECT_FALSE(unachievable.message.empty());
+  }
 }
 
 }  // namespace

@@ -224,10 +224,9 @@ TEST(Ira, TreeIsAlwaysValidSpanningTree) {
 }
 
 TEST(Ira, FallbackDisabledStillSolvesEasyCases) {
+  // An easy instance never needs the numerical slack fallback.
   mrlc::testing::ToyNetwork toy;
-  IraOptions options;
-  options.allow_slack_fallback = false;
-  const IraResult res = IterativeRelaxation(options).solve(toy.net, 1.0);
+  const IraResult res = IterativeRelaxation().solve(toy.net, 1.0);
   EXPECT_TRUE(res.meets_bound);
   EXPECT_FALSE(res.stats.used_fallback);
 }
@@ -256,7 +255,7 @@ TEST(BranchBound, AgreesWithEnumerationOnSmallInstances) {
     for (const int children : {2, 3, 5}) {
       const double bound = net.energy_model().node_lifetime(3000.0, children) * 0.99;
       const auto enumerated = exact_mrlc(net, bound);
-      const auto bb = branch_bound_mrlc(net, bound);
+      const auto bb = branch_bound_variant(VariantId::kMrlc, net, bound);
       ASSERT_EQ(enumerated.has_value(), bb.has_value())
           << "trial " << trial << " children " << children;
       if (enumerated.has_value()) {
@@ -275,7 +274,7 @@ TEST(BranchBound, HandlesPaperScaleInstances) {
   Rng rng(3031);
   const wsn::Network net = mrlc::testing::small_random_network(16, 0.7, rng, 0.9, 1.0);
   const double bound = net.energy_model().node_lifetime(3000.0, 4) * 0.99;
-  const auto bb = branch_bound_mrlc(net, bound);
+  const auto bb = branch_bound_variant(VariantId::kMrlc, net, bound);
   ASSERT_TRUE(bb.has_value());
   EXPECT_GE(bb->lifetime, bound * (1 - 1e-9));
   // Sandwich against the LP-based solver.
@@ -292,8 +291,10 @@ TEST(BranchBound, NulloptWhenNoTreeQualifies) {
   net.add_link(0, 1, 0.9);
   net.add_link(1, 2, 0.9);
   const double one_child = net.energy_model().node_lifetime(3000.0, 1);
-  EXPECT_FALSE(branch_bound_mrlc(net, one_child * 1.01).has_value());
-  EXPECT_TRUE(branch_bound_mrlc(net, one_child * 0.99).has_value());
+  EXPECT_FALSE(branch_bound_variant(VariantId::kMrlc, net, one_child * 1.01)
+                   .has_value());
+  EXPECT_TRUE(branch_bound_variant(VariantId::kMrlc, net, one_child * 0.99)
+                  .has_value());
 }
 
 TEST(BranchBound, NodeBudgetGuard) {
@@ -304,7 +305,8 @@ TEST(BranchBound, NodeBudgetGuard) {
   // A binding bound (max ~2 children) forces branching: the greedy warm
   // start is not provably optimal, so the tiny budget must trip.
   const double bound = net.energy_model().node_lifetime(3000.0, 2) * 0.99;
-  EXPECT_THROW(branch_bound_mrlc(net, bound, options), std::invalid_argument);
+  EXPECT_THROW(branch_bound_variant(VariantId::kMrlc, net, bound, options),
+               std::invalid_argument);
 }
 
 TEST(BranchBound, IraStrictModeCostAtMostBranchBoundAtStrictBound) {
@@ -322,7 +324,7 @@ TEST(BranchBound, IraStrictModeCostAtMostBranchBoundAtStrictBound) {
       continue;
     }
     const double strict = IterativeRelaxation::strict_bound(net, bound);
-    const auto opt_strict = branch_bound_mrlc(net, strict);
+    const auto opt_strict = branch_bound_variant(VariantId::kMrlc, net, strict);
     if (!opt_strict.has_value()) continue;
     EXPECT_LE(res.cost, opt_strict->cost + 1e-6) << "trial " << trial;
     ++checked;

@@ -248,7 +248,8 @@ SolveFingerprint solve_with_threads(unsigned threads) {
     const wsn::Network net =
         mrlc::testing::small_random_network(12, 0.9, rng, 0.5, 1.0);
     const double bound = net.energy_model().node_lifetime(3000.0, 2) * 0.99;
-    const auto bb = core::branch_bound_mrlc(net, bound, {});
+    const auto bb =
+        core::branch_bound_variant(core::VariantId::kMrlc, net, bound, {});
     if (!bb.has_value()) {
       ADD_FAILURE() << "seed instance must be feasible";
       return fp;
@@ -312,7 +313,8 @@ TEST(Determinism, BranchBoundBudgetGuardTripsIdenticallyWhenParallel) {
   options.max_nodes_explored = 5;
   for (const unsigned threads : {1u, 8u}) {
     set_default_thread_count(threads);
-    EXPECT_THROW(core::branch_bound_mrlc(net, bound, options),
+    EXPECT_THROW(core::branch_bound_variant(core::VariantId::kMrlc, net,
+                                            bound, options),
                  std::invalid_argument)
         << "threads=" << threads;
   }

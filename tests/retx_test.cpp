@@ -79,10 +79,10 @@ TEST(RetxIra, ReturnedTreeMeetsTheRetxBound) {
     const double bound =
         3000.0 / (net.energy_model().tx_joules / 0.6) * 0.25;
     try {
-      const RetxIraResult res = retx_aware_ira(net, bound);
+      const SolveResult res = retx_aware_ira(net, bound);
       ++solved;
       EXPECT_TRUE(res.meets_bound) << "trial " << trial;
-      EXPECT_GE(res.lifetime_retx, bound * (1 - 1e-9));
+      EXPECT_GE(res.bound_metric, bound * (1 - 1e-9));
       EXPECT_EQ(res.tree.edge_ids().size(),
                 static_cast<std::size_t>(net.node_count() - 1));
     } catch (const InfeasibleError&) {
@@ -108,7 +108,7 @@ TEST(RetxIra, AvoidsLowQualityHubsThatPlainIraTolerates) {
   // Bound tight enough that node 1 cannot afford three 0.35-quality
   // children (rate 3*Rx/0.35 + Tx/0.95) but a chain is fine.
   const double bound = 3000.0 / (tx / 0.35) * 0.9;
-  const RetxIraResult res = retx_aware_ira(net, bound);
+  const SolveResult res = retx_aware_ira(net, bound);
   EXPECT_TRUE(res.meets_bound);
   EXPECT_LT(res.tree.children_count(1), 3);
 }
@@ -125,7 +125,7 @@ TEST(RetxIra, InfeasibleWhenEvenALeafBlowsTheBudget) {
 TEST(RetxIra, LooseBoundReturnsTheMst) {
   Rng rng(74);
   const wsn::Network net = small_random_network(8, 0.7, rng, 0.5, 1.0);
-  const RetxIraResult res = retx_aware_ira(net, 1.0);
+  const SolveResult res = retx_aware_ira(net, 1.0);
   const baselines::MstResult mst = baselines::mst_baseline(net);
   EXPECT_NEAR(res.cost, mst.cost, 1e-9);
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -18,8 +19,8 @@
 #include "common/faultpoint.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/anytime.hpp"
 #include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "helpers.hpp"
 #include "lp/instance.hpp"
 #include "scenario/dfl.hpp"
@@ -101,10 +102,21 @@ TEST(Budget, UnlimitedNeverExhausts) {
 
 // -------------------------------------------------------------- anytime --
 
+/// A direct-mode mrlc solve through the front door, under `budget` (null =
+/// the plain contract, non-null = the anytime contract).
+core::SolveResult solve_direct(const wsn::Network& net, double bound,
+                               Budget* budget) {
+  core::SolveRequest request;
+  request.bound = bound;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  request.ira.budget = budget;
+  return core::solve(net, request);
+}
+
 /// Every variant, mrlc included, runs the same anytime body; for mrlc an
 /// unlimited run must reproduce a direct-mode IRA run exactly — tree,
 /// metrics, every IraStats field — and certify with that run's first LP
-/// optimum.
+/// optimum (which a budget-free front-door solve reports as its bound).
 TEST(Anytime, UnlimitedRunMatchesPlainIra) {
   const testing::ToyNetwork toy;
   const wsn::Network dfl = scenario::make_dfl_system().network;
@@ -115,13 +127,13 @@ TEST(Anytime, UnlimitedRunMatchesPlainIra) {
 
     core::IraOptions direct;
     direct.bound_mode = core::BoundMode::kDirect;
-    core::IraProgress progress;
-    direct.progress = &progress;
     const core::IraResult plain =
         core::IterativeRelaxation(direct).solve(*net, bound);
+    const core::SolveResult front = solve_direct(*net, bound, nullptr);
 
-    const core::AnytimeResult anytime = core::solve_anytime(*net, bound);
-    EXPECT_EQ(anytime.status, core::AnytimeStatus::kOptimal);
+    Budget unlimited;
+    const core::SolveResult anytime = solve_direct(*net, bound, &unlimited);
+    EXPECT_EQ(anytime.status, core::SolveStatus::kOptimal);
     EXPECT_FALSE(anytime.from_incumbent);
     EXPECT_EQ(wsn::tree_to_string(anytime.tree), wsn::tree_to_string(plain.tree));
     EXPECT_EQ(bits(anytime.cost), bits(plain.cost));
@@ -143,9 +155,9 @@ TEST(Anytime, UnlimitedRunMatchesPlainIra) {
     EXPECT_EQ(a.used_fallback, p.used_fallback);
 
     // The certified bound is the plain run's first LP optimum, bit for bit.
-    ASSERT_TRUE(progress.first_lp_valid);
-    EXPECT_EQ(bits(anytime.dual_bound),
-              bits(std::max(progress.first_lp_objective, 0.0)));
+    EXPECT_EQ(wsn::tree_to_string(front.tree), wsn::tree_to_string(plain.tree));
+    EXPECT_GT(front.dual_bound, 0.0);
+    EXPECT_EQ(bits(anytime.dual_bound), bits(front.dual_bound));
     EXPECT_GE(anytime.gap, 0.0);
     EXPECT_EQ(bits(anytime.gap),
               bits(std::max(anytime.cost - anytime.dual_bound, 0.0)));
@@ -157,11 +169,9 @@ TEST(Anytime, ZeroBudgetReturnsTheSeedIncumbent) {
   const double bound = baselines::mst_baseline(toy.net).lifetime;
   Budget budget;
   budget.set_work_limit(0);
-  core::AnytimeOptions options;
-  options.budget = &budget;
 
-  const core::AnytimeResult result = core::solve_anytime(toy.net, bound, options);
-  EXPECT_EQ(result.status, core::AnytimeStatus::kFeasibleBudgetExhausted);
+  const core::SolveResult result = solve_direct(toy.net, bound, &budget);
+  EXPECT_EQ(result.status, core::SolveStatus::kFeasibleBudgetExhausted);
   EXPECT_TRUE(result.from_incumbent);
   EXPECT_EQ(budget.used(), 0) << "hard-zero budget must not run any LP work";
   EXPECT_TRUE(result.meets_bound) << "the MST achieves its own lifetime";
@@ -175,11 +185,9 @@ TEST(Anytime, CancellationComesBackAsItsOwnStatus) {
   const double bound = baselines::mst_baseline(toy.net).lifetime;
   Budget budget;
   budget.cancel();
-  core::AnytimeOptions options;
-  options.budget = &budget;
 
-  const core::AnytimeResult result = core::solve_anytime(toy.net, bound, options);
-  EXPECT_EQ(result.status, core::AnytimeStatus::kCancelled);
+  const core::SolveResult result = solve_direct(toy.net, bound, &budget);
+  EXPECT_EQ(result.status, core::SolveStatus::kCancelled);
   EXPECT_TRUE(result.from_incumbent);
   EXPECT_EQ(result.tree.node_count(), toy.net.node_count());
 }
@@ -195,10 +203,8 @@ TEST(Anytime, QuarterBudgetYieldsFeasibleTreeDeterministically) {
 
   // Full run, with a budget attached only to meter the total work.
   Budget meter;
-  core::AnytimeOptions metered;
-  metered.budget = &meter;
-  const core::AnytimeResult full = core::solve_anytime(net, bound, metered);
-  ASSERT_EQ(full.status, core::AnytimeStatus::kOptimal);
+  const core::SolveResult full = solve_direct(net, bound, &meter);
+  ASSERT_EQ(full.status, core::SolveStatus::kOptimal);
   ASSERT_GT(meter.used(), 0);
 
   const auto run_quarter = [&](unsigned threads) {
@@ -206,15 +212,13 @@ TEST(Anytime, QuarterBudgetYieldsFeasibleTreeDeterministically) {
     set_default_thread_count(threads);
     Budget budget;
     budget.set_work_limit(meter.used() / 4);
-    core::AnytimeOptions options;
-    options.budget = &budget;
-    const core::AnytimeResult result = core::solve_anytime(net, bound, options);
+    const core::SolveResult result = solve_direct(net, bound, &budget);
     set_default_thread_count(before);
     return std::make_pair(result, budget.used());
   };
 
   const auto [serial, serial_used] = run_quarter(1);
-  EXPECT_EQ(serial.status, core::AnytimeStatus::kFeasibleBudgetExhausted);
+  EXPECT_EQ(serial.status, core::SolveStatus::kFeasibleBudgetExhausted);
   EXPECT_TRUE(serial.meets_bound);
   EXPECT_EQ(serial.tree.node_count(), net.node_count());
   EXPECT_GE(serial.dual_bound, 0.0);
@@ -255,6 +259,53 @@ TEST(Anytime, QuarterBudgetYieldsFeasibleTreeDeterministically) {
             "parent 13 9\n"
             "parent 14 0\n"
             "parent 15 5\n");
+}
+
+/// A cut loop that stops at `max_cut_rounds` is a typed outcome, never an
+/// internal error: the front door returns the lazily seeded incumbent
+/// (a spanning tree) with a finite certified gap, under the same dual-bound
+/// rules as budget exhaustion.
+TEST(Anytime, CutRoundCapComesBackAsNotConverged) {
+  const wsn::Network net = scenario::make_dfl_system().network;
+  const double bound = baselines::mst_baseline(net).lifetime;
+  // The instance needs more than one cut round.
+  ASSERT_GT(solve_direct(net, bound, nullptr).stats.lp_solves, 1);
+
+  core::SolveRequest request;
+  request.bound = bound;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  request.ira.max_cut_rounds = 1;
+  const core::SolveResult capped = core::solve(net, request);
+  EXPECT_EQ(capped.status, core::SolveStatus::kNotConverged) << capped.message;
+  EXPECT_TRUE(capped.from_incumbent);
+  EXPECT_EQ(capped.tree.edge_ids().size(),
+            static_cast<std::size_t>(net.node_count() - 1));
+  EXPECT_TRUE(std::isfinite(capped.gap));
+  EXPECT_GE(capped.gap, 0.0);
+  EXPECT_GT(capped.dual_bound, 0.0) << "the one completed LP round certifies";
+  EXPECT_NE(capped.message.find("not converged"), std::string::npos);
+
+  // The raw engine reports the same outcome as its typed exception.
+  core::IraOptions options = request.ira;
+  EXPECT_THROW(core::IterativeRelaxation(options).solve(net, bound),
+               NotConvergedError);
+
+  // Every variant and bound mode degrades the same way.
+  for (const core::VariantId id : core::all_variants()) {
+    for (const core::BoundMode mode :
+         {core::BoundMode::kPaperStrict, core::BoundMode::kAuto}) {
+      request.variant = id;
+      request.ira.bound_mode = mode;
+      const core::SolveResult result = core::solve(net, request);
+      SCOPED_TRACE(core::to_string(id));
+      ASSERT_TRUE(result.status == core::SolveStatus::kOptimal ||
+                  result.status == core::SolveStatus::kNotConverged)
+          << core::to_string(result.status) << ": " << result.message;
+      EXPECT_EQ(result.tree.edge_ids().size(),
+                static_cast<std::size_t>(net.node_count() - 1));
+      EXPECT_TRUE(std::isfinite(result.gap));
+    }
+  }
 }
 
 // --------------------------------------------------------------- faults --

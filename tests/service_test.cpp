@@ -19,7 +19,7 @@
 #include "common/faultpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "core/anytime.hpp"
+#include "core/solve.hpp"
 #include "helpers.hpp"
 #include "service/cache.hpp"
 #include "service/server.hpp"
@@ -355,7 +355,11 @@ TEST_F(ServiceFixture, SolveMatchesDirectAnytimeByteForByte) {
   // First contact leases an *empty* pool, so the trajectory matches a
   // pool-free direct solve exactly — the parity the CI smoke also checks
   // against one-shot mrlc_solve.
-  core::AnytimeResult direct = core::solve_anytime(net, lc);
+  Budget unlimited;
+  core::SolveRequest request;
+  request.bound = lc;
+  request.ira.budget = &unlimited;
+  const core::SolveResult direct = core::solve(net, request);
   EXPECT_EQ(reply.tree_text, wsn::tree_to_string(direct.tree));
   EXPECT_DOUBLE_EQ(reply.cost, direct.cost);
 }
@@ -414,11 +418,12 @@ TEST_F(ServiceFixture, EveryVariantRoundTripsWithDirectSolveParity) {
     // Same parity contract as the mrlc byte-for-byte test: first contact
     // leases an empty pool, so each variant's reply must match a pool-free
     // direct anytime solve of that variant exactly.
-    core::AnytimeOptions direct_options;
-    direct_options.variant = id;
-    const double lc = id == core::VariantId::kMrlc ? mrlc_lc : 1.0;
-    const core::AnytimeResult direct =
-        core::solve_anytime(net, lc, direct_options);
+    Budget unlimited;
+    core::SolveRequest request;
+    request.variant = id;
+    request.bound = id == core::VariantId::kMrlc ? mrlc_lc : 1.0;
+    request.ira.budget = &unlimited;
+    const core::SolveResult direct = core::solve(net, request);
     EXPECT_EQ(reply.tree_text, wsn::tree_to_string(direct.tree))
         << core::to_string(id);
     EXPECT_DOUBLE_EQ(reply.cost, direct.cost) << core::to_string(id);

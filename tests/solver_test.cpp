@@ -1,22 +1,38 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/solver.hpp"
+#include "core/feasibility.hpp"
+#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "helpers.hpp"
 #include "wsn/metrics.hpp"
+
+// The bound-mode policy of `core::solve` (kAuto: strict first, then the
+// direct fallback, else infeasible with the achievable bracket) and its
+// branch-and-bound certification.  The suite keeps the name of the facade
+// these rules came from.
 
 namespace mrlc::core {
 namespace {
 
 using mrlc::testing::small_random_network;
 
+SolveResult solve_auto(const wsn::Network& net, double bound,
+                       bool certify = false) {
+  SolveRequest request;
+  request.bound = bound;
+  request.ira.bound_mode = BoundMode::kAuto;
+  request.certify = certify;
+  return solve(net, request);
+}
+
 TEST(MrlcSolver, UsesStrictModeWhenItWorks) {
   mrlc::testing::ToyNetwork toy;
-  const SolveReport report = MrlcSolver().solve(toy.net, 1.0e6);
-  EXPECT_EQ(report.mode, SolveMode::kStrict);
-  EXPECT_TRUE(report.result.meets_bound);
-  EXPECT_FALSE(report.achievable.has_value());
-  EXPECT_NE(report.narrative.find("strict"), std::string::npos);
+  const SolveResult result = solve_auto(toy.net, 1.0e6);
+  EXPECT_EQ(result.status, SolveStatus::kOptimal);
+  EXPECT_EQ(result.bound_mode, BoundMode::kPaperStrict);
+  EXPECT_TRUE(result.meets_bound);
+  EXPECT_FALSE(result.exact_cost.has_value());
 }
 
 TEST(MrlcSolver, FallsBackToDirectWhenStrictIsInfeasible) {
@@ -26,16 +42,13 @@ TEST(MrlcSolver, FallsBackToDirectWhenStrictIsInfeasible) {
   for (int trial = 0; trial < 10; ++trial) {
     const wsn::Network net = small_random_network(9, 0.7, rng, 0.6, 1.0);
     const LifetimeBracket bracket = bracket_max_lifetime(net);
-    try {
-      const SolveReport report = MrlcSolver().solve(net, bracket.lower * 0.999);
-      if (report.mode == SolveMode::kDirectFallback) ++fallbacks;
-      // Either way the result is a valid spanning tree.
-      EXPECT_EQ(report.result.tree.edge_ids().size(),
-                static_cast<std::size_t>(net.node_count() - 1));
-    } catch (const InfeasibleError&) {
-      // LP-infeasible at the constructive bound cannot happen.
-      ADD_FAILURE() << "bound below the constructive optimum must be solvable";
-    }
+    const SolveResult result = solve_auto(net, bracket.lower * 0.999);
+    // LP-infeasible at the constructive bound cannot happen.
+    ASSERT_EQ(result.status, SolveStatus::kOptimal) << result.message;
+    if (result.bound_mode == BoundMode::kDirect) ++fallbacks;
+    // Either way the result is a valid spanning tree.
+    EXPECT_EQ(result.tree.edge_ids().size(),
+              static_cast<std::size_t>(net.node_count() - 1));
   }
   EXPECT_GT(fallbacks, 5) << "near-max bounds should usually need the fallback";
 }
@@ -46,58 +59,39 @@ TEST(MrlcSolver, InfeasibleErrorCarriesAchievableBracket) {
   net.add_link(1, 2, 0.9);
   const double unachievable =
       net.energy_model().node_lifetime(3000.0, 1) * 1.05;
-  try {
-    MrlcSolver().solve(net, unachievable);
-    FAIL() << "expected InfeasibleError";
-  } catch (const InfeasibleError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("achievable lifetime is in ["), std::string::npos) << what;
-  }
-}
-
-TEST(MrlcSolver, FallbackCanBeDisabled) {
-  Rng rng(202);
-  SolverOptions options;
-  options.allow_direct_fallback = false;
-  const MrlcSolver solver(options);
-  int logic_errors = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    const wsn::Network net = small_random_network(9, 0.7, rng, 0.6, 1.0);
-    const LifetimeBracket bracket = bracket_max_lifetime(net);
-    try {
-      solver.solve(net, bracket.lower * 0.999);
-    } catch (const std::logic_error&) {
-      ++logic_errors;  // strict failed, LP feasible, fallback forbidden
-    } catch (const InfeasibleError&) {
-    }
-  }
-  EXPECT_GT(logic_errors, 0);
+  const SolveResult result = solve_auto(net, unachievable);
+  EXPECT_EQ(result.status, SolveStatus::kInfeasible);
+  EXPECT_NE(result.message.find("achievable lifetime is in ["),
+            std::string::npos)
+      << result.message;
 }
 
 TEST(MrlcSolver, CertificationReportsGap) {
   Rng rng(203);
-  SolverOptions options;
-  options.certify_with_exact = true;
-  const MrlcSolver solver(options);
   for (int trial = 0; trial < 5; ++trial) {
     const wsn::Network net = small_random_network(8, 0.7, rng, 0.6, 1.0);
     const double bound = net.energy_model().node_lifetime(3000.0, 6);
-    const SolveReport report = solver.solve(net, bound);
-    ASSERT_TRUE(report.exact_cost.has_value());
-    ASSERT_TRUE(report.optimality_gap.has_value());
+    const SolveResult result = solve_auto(net, bound, /*certify=*/true);
+    ASSERT_TRUE(result.exact_cost.has_value());
     // Strict-mode result can exceed the LC-optimum (it solves at L'), but
-    // never undercut it.
-    EXPECT_GE(*report.optimality_gap, -1e-9);
-    EXPECT_NE(report.narrative.find("optimality gap"), std::string::npos);
+    // never undercut it; the exact optimum becomes the dual bound.
+    EXPECT_GE(result.cost - *result.exact_cost, -1e-9);
+    EXPECT_DOUBLE_EQ(result.dual_bound, *result.exact_cost);
+    EXPECT_NEAR(result.gap, result.cost - *result.exact_cost, 1e-9);
   }
 }
 
 TEST(MrlcSolver, RejectsBadInput) {
   mrlc::testing::ToyNetwork toy;
-  EXPECT_THROW(MrlcSolver().solve(toy.net, 0.0), std::invalid_argument);
+  EXPECT_THROW(solve_auto(toy.net, 0.0), std::invalid_argument);
   wsn::Network disconnected(3, 0);
   disconnected.add_link(0, 1, 0.9);
-  EXPECT_THROW(MrlcSolver().solve(disconnected, 1.0), InfeasibleError);
+  EXPECT_EQ(solve_auto(disconnected, 1.0).status, SolveStatus::kInfeasible);
+  // kAuto is a front-door policy; the raw engine refuses it.
+  IraOptions options;
+  options.bound_mode = BoundMode::kAuto;
+  EXPECT_THROW(IterativeRelaxation(options).solve(toy.net, 1.0e6),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -520,6 +521,42 @@ TEST(ToolsCli, SolveAcceptsEveryVariantAndRejectsUnknownOnes) {
                         " ira --variant bogus --lifetime 100 < " +
                         network_path() + " > /dev/null 2> /dev/null"),
             4);
+}
+
+TEST(ToolsCli, FlagsTheRequestCannotUseAreNamedNotDropped) {
+  // ira and auto build one solve request; a flag that request cannot use
+  // still runs the solve (exit 0) but is named on stderr.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"auto --variant etx --certify",
+       "mrlc_solve: note: --certify applies to the mrlc variant only; "
+       "ignored for etx\n"},
+      {"ira --variant etx --strict",
+       "mrlc_solve: note: --strict applies to the mrlc variant only; "
+       "ignored for etx\n"},
+      {"auto --strict",
+       "mrlc_solve: note: auto tries the strict bound first by itself; "
+       "--strict is ignored\n"},
+      {"ira --strict --budget 1000000000",
+       "mrlc_solve: note: anytime solving always uses the direct "
+       "relaxation; --strict is ignored\n"},
+  };
+  const std::string err = tmp_path("tools_cli_ignored_flag.err");
+  for (const auto& [flags, note] : cases) {
+    EXPECT_EQ(run_command(std::string(MRLC_TOOL_SOLVE) + " " + flags +
+                          " --lifetime 100 < " + network_path() +
+                          " > /dev/null 2> " + err),
+              0)
+        << flags;
+    EXPECT_NE(read_file(err).find(note), std::string::npos)
+        << flags << ":\n"
+        << read_file(err);
+  }
+  // A flag that applies draws no note.
+  EXPECT_EQ(run_command(std::string(MRLC_TOOL_SOLVE) +
+                        " auto --certify --lifetime 100 < " + network_path() +
+                        " > /dev/null 2> " + err),
+            0);
+  EXPECT_EQ(read_file(err).find("note:"), std::string::npos) << read_file(err);
 }
 
 TEST(ToolsCli, EveryVariantEmitsItsOwnSolveCounterAndGauge) {

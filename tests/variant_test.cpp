@@ -31,10 +31,10 @@
 #include "common/budget.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/anytime.hpp"
 #include "core/branch_bound.hpp"
 #include "core/exact.hpp"
 #include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "core/variant.hpp"
 #include "graph/enumeration.hpp"
 #include "graph/mst.hpp"
@@ -49,6 +49,16 @@ namespace {
 using mrlc::testing::small_random_network;
 
 // ------------------------------------------------------------ helpers --
+
+/// One front-door solve of variant `id` with the given engine options.
+SolveResult solve_as(VariantId id, const wsn::Network& net, double bound,
+                     const IraOptions& options = {}) {
+  SolveRequest request;
+  request.variant = id;
+  request.bound = bound;
+  request.ira = options;
+  return solve(net, request);
+}
 
 /// Conservative lifetime of a concrete tree: the bound at which the
 /// weighted energy rows (each incident edge charged its worst role, the
@@ -168,9 +178,9 @@ TEST(VariantIdentifiers, SingletonsExposeTheirIdsAndCertificates) {
 
 // ------------------------------------------- mrlc bit-identical route --
 
-/// The tentpole gate: `solve_variant(kMrlc)` must reproduce the historical
-/// `IterativeRelaxation` solve bit for bit — tree bytes, cost bits, and
-/// every per-solve counter including the pivot count.
+/// The front door for mrlc must reproduce the raw `IterativeRelaxation`
+/// engine call bit for bit — tree bytes, cost bits, and every per-solve
+/// counter including the pivot count.
 class MrlcRouteSweep : public ::testing::TestWithParam<BoundMode> {};
 
 TEST_P(MrlcRouteSweep, BitIdenticalToHistoricalIra) {
@@ -185,40 +195,35 @@ TEST_P(MrlcRouteSweep, BitIdenticalToHistoricalIra) {
         net.energy_model().node_lifetime(net.min_initial_energy(), 4) * 0.99;
 
     std::optional<IraResult> legacy;
-    std::optional<VariantResult> routed;
     bool legacy_threw = false;
-    bool routed_threw = false;
     try {
       legacy = IterativeRelaxation(options).solve(net, bound);
     } catch (const InfeasibleError&) {
       legacy_threw = true;
     }
-    try {
-      routed = solve_variant(VariantId::kMrlc, net, bound, options);
-    } catch (const InfeasibleError&) {
-      routed_threw = true;
-    }
+    const SolveResult routed = solve_as(VariantId::kMrlc, net, bound, options);
+    const bool routed_threw = routed.status == SolveStatus::kInfeasible;
     ASSERT_EQ(legacy_threw, routed_threw) << "trial " << trial;
     if (legacy_threw) continue;
     ++solved;
 
-    EXPECT_EQ(routed->tree.parents(), legacy->tree.parents()) << trial;
-    EXPECT_EQ(routed->cost, legacy->cost) << trial;
-    EXPECT_EQ(routed->objective, legacy->cost) << trial;
-    EXPECT_EQ(routed->reliability, legacy->reliability) << trial;
-    EXPECT_EQ(routed->lifetime, legacy->lifetime) << trial;
-    EXPECT_EQ(routed->meets_bound, legacy->meets_bound) << trial;
-    EXPECT_EQ(routed->stats.outer_iterations, legacy->stats.outer_iterations);
-    EXPECT_EQ(routed->stats.lp_solves, legacy->stats.lp_solves) << trial;
-    EXPECT_EQ(routed->stats.simplex_iterations,
+    EXPECT_EQ(routed.tree.parents(), legacy->tree.parents()) << trial;
+    EXPECT_EQ(routed.cost, legacy->cost) << trial;
+    EXPECT_EQ(routed.objective, legacy->cost) << trial;
+    EXPECT_EQ(routed.reliability, legacy->reliability) << trial;
+    EXPECT_EQ(routed.lifetime, legacy->lifetime) << trial;
+    EXPECT_EQ(routed.meets_bound, legacy->meets_bound) << trial;
+    EXPECT_EQ(routed.stats.outer_iterations, legacy->stats.outer_iterations);
+    EXPECT_EQ(routed.stats.lp_solves, legacy->stats.lp_solves) << trial;
+    EXPECT_EQ(routed.stats.simplex_iterations,
               legacy->stats.simplex_iterations)
         << trial;
-    EXPECT_EQ(routed->stats.cuts_added, legacy->stats.cuts_added) << trial;
-    EXPECT_EQ(routed->stats.edges_removed, legacy->stats.edges_removed);
-    EXPECT_EQ(routed->stats.constraints_removed,
+    EXPECT_EQ(routed.stats.cuts_added, legacy->stats.cuts_added) << trial;
+    EXPECT_EQ(routed.stats.edges_removed, legacy->stats.edges_removed);
+    EXPECT_EQ(routed.stats.constraints_removed,
               legacy->stats.constraints_removed)
         << trial;
-    EXPECT_EQ(routed->stats.used_fallback, legacy->stats.used_fallback);
+    EXPECT_EQ(routed.stats.used_fallback, legacy->stats.used_fallback);
   }
   EXPECT_GE(solved, 8) << "sweep degenerated to blanket infeasibility";
 }
@@ -237,7 +242,7 @@ INSTANTIATE_TEST_SUITE_P(BoundModes, MrlcRouteSweep,
 /// One solve under an explicit (warm_start, engine, threads) config.
 struct SolveOutcome {
   bool infeasible = false;
-  VariantResult result;
+  SolveResult result;
 };
 
 SolveOutcome run_config(VariantId id, const wsn::Network& net, double bound,
@@ -247,13 +252,10 @@ SolveOutcome run_config(VariantId id, const wsn::Network& net, double bound,
   lp::set_default_engine(engine);
   set_default_thread_count(threads);
   SolveOutcome out;
-  try {
-    IraOptions options;
-    options.warm_start = warm;
-    out.result = solve_variant(id, net, bound, options);
-  } catch (const InfeasibleError&) {
-    out.infeasible = true;
-  }
+  IraOptions options;
+  options.warm_start = warm;
+  out.result = solve_as(id, net, bound, options);
+  out.infeasible = out.result.status == SolveStatus::kInfeasible;
   set_default_thread_count(saved_threads);
   lp::set_default_engine(saved_engine);
   return out;
@@ -300,8 +302,8 @@ TEST_P(VariantParitySweep, AllEngineConfigsAreBitIdentical) {
               " threads " + std::to_string(threads);
           ASSERT_EQ(probe.infeasible, reference.infeasible) << label;
           if (probe.infeasible) continue;
-          const VariantResult& a = probe.result;
-          const VariantResult& b = reference.result;
+          const SolveResult& a = probe.result;
+          const SolveResult& b = reference.result;
           EXPECT_EQ(a.tree.parents(), b.tree.parents()) << label;
           EXPECT_EQ(a.objective, b.objective) << label;
           EXPECT_EQ(a.cost, b.cost) << label;
@@ -394,10 +396,8 @@ TEST_P(BruteForceSweep, SolveVariantNeverBeatsTheEnumeratedOptimum) {
     const double bound = feasible_bound(id, net);
     const auto enumerated = enumerate_best(id, net, bound);
     if (!enumerated.has_value()) continue;
-    VariantResult res;
-    try {
-      res = solve_variant(id, net, bound);
-    } catch (const InfeasibleError&) {
+    const SolveResult res = solve_as(id, net, bound);
+    if (res.status == SolveStatus::kInfeasible) {
       continue;  // strict-mode mrlc may reject what LC-enumeration accepts
     }
     // The solve's tree is a real spanning tree with consistent metrics...
@@ -440,7 +440,7 @@ TEST(BruteForce, MinEnergyLpRoundIsExactlyTheEnumeratedOptimum) {
     const auto enumerated =
         enumerate_best(VariantId::kMinEnergy, net, 1.0);
     ASSERT_TRUE(enumerated.has_value());
-    const VariantResult res = solve_variant(VariantId::kMinEnergy, net, 1.0);
+    const SolveResult res = solve_as(VariantId::kMinEnergy, net, 1.0);
     EXPECT_NEAR(res.objective, enumerated->objective, 1e-9) << trial;
   }
 }
@@ -454,8 +454,7 @@ TEST(BruteForce, MaxLifetimeSolveMatchesExactAndCertificateIsSound) {
     const auto exact = exact_max_lifetime(net);
     ASSERT_TRUE(exact.has_value());
     const double floor = lifetime_candidates(net).front();
-    const VariantResult res =
-        solve_variant(VariantId::kMaxLifetime, net, floor);
+    const SolveResult res = solve_as(VariantId::kMaxLifetime, net, floor);
     // Soundness: never claims more than the true maximum, and the LP
     // certificate really is an upper bound on it.
     EXPECT_LE(res.objective, exact->lifetime * (1.0 + 1e-9)) << trial;
@@ -476,8 +475,8 @@ TEST(BruteForce, MaxLifetimeInfeasibleAboveTheLadderTop) {
   Rng rng(7171);
   const wsn::Network net = small_random_network(7, 0.6, rng, 0.4, 1.0);
   const double top = lifetime_candidates(net).back();
-  EXPECT_THROW(solve_variant(VariantId::kMaxLifetime, net, top * 2.0),
-               InfeasibleError);
+  EXPECT_EQ(solve_as(VariantId::kMaxLifetime, net, top * 2.0).status,
+            SolveStatus::kInfeasible);
   EXPECT_FALSE(
       branch_bound_variant(VariantId::kMaxLifetime, net, top * 2.0)
           .has_value());
@@ -492,7 +491,7 @@ TEST(EtxIntegration, MeasuredArqTransmissionsMatchTheEtxObjective) {
   for (int trial = 0; trial < 5; ++trial) {
     const wsn::Network net = small_random_network(10, 0.6, rng, 0.35, 0.95);
     const double bound = feasible_bound(VariantId::kEtx, net);
-    const VariantResult res = solve_variant(VariantId::kEtx, net, bound);
+    const SolveResult res = solve_as(VariantId::kEtx, net, bound);
     Rng sim_rng(900 + static_cast<std::uint64_t>(trial));
     const radio::AggregateResult agg =
         radio::simulate_rounds(net, res.tree, retx, 4000, sim_rng);
@@ -570,18 +569,17 @@ TEST(EtxIntegration, EtxTreeBeatsStockMrlcTreeUnderLossyArq) {
   EXPECT_NEAR(measured_mrlc, analytic_mrlc, analytic_mrlc * 0.05);
 }
 
-// ------------------------------------------------------ anytime layer --
+// --------------------------------------------------- anytime contract --
 
 TEST(AnytimeVariants, EachVariantConvergesWithItsOwnObjectiveAndGap) {
   Rng rng(9090);
   const wsn::Network net = small_random_network(10, 0.6, rng, 0.5, 1.0);
   for (const VariantId id : all_variants()) {
-    AnytimeOptions options;
-    options.variant = id;
-    const double bound = feasible_bound(id, net);
-    const AnytimeResult res = solve_anytime(net, bound, options);
-    EXPECT_EQ(res.status, AnytimeStatus::kOptimal) << to_string(id);
-    EXPECT_EQ(res.variant, id);
+    Budget unlimited;
+    IraOptions options;
+    options.budget = &unlimited;
+    const SolveResult res = solve_as(id, net, feasible_bound(id, net), options);
+    EXPECT_EQ(res.status, SolveStatus::kOptimal) << to_string(id);
     EXPECT_EQ(res.tree.edge_ids().size(),
               static_cast<std::size_t>(net.node_count() - 1))
         << to_string(id);
@@ -604,12 +602,10 @@ TEST(AnytimeVariants, ZeroBudgetDegradesToASeededIncumbentPerVariant) {
   for (const VariantId id : all_variants()) {
     Budget budget;
     budget.set_work_limit(0);
-    AnytimeOptions options;
-    options.variant = id;
+    IraOptions options;
     options.budget = &budget;
-    const AnytimeResult res =
-        solve_anytime(net, feasible_bound(id, net), options);
-    EXPECT_EQ(res.status, AnytimeStatus::kFeasibleBudgetExhausted)
+    const SolveResult res = solve_as(id, net, feasible_bound(id, net), options);
+    EXPECT_EQ(res.status, SolveStatus::kFeasibleBudgetExhausted)
         << to_string(id);
     EXPECT_TRUE(res.from_incumbent) << to_string(id);
     EXPECT_EQ(res.tree.edge_ids().size(),

@@ -46,9 +46,8 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
-#include "core/anytime.hpp"
 #include "core/branch_bound.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "distributed/dataplane.hpp"
 #include "lp/simplex.hpp"
 #include "scenario/dfl.hpp"
@@ -109,45 +108,23 @@ double etx_bound(const wsn::Network& net) {
   return bound;
 }
 
-/// One IRA repeat, optionally under an anytime work budget (--budget).
-/// With `budget_units == 0` this is byte-for-byte the historical direct
-/// IRA path (no Budget object exists, no anytime layer runs), so stock
-/// bench documents are unchanged.
-void run_ira(const wsn::Network& net, std::int64_t budget_units) {
-  if (budget_units > 0) {
-    Budget budget;
-    budget.set_work_limit(budget_units);
-    core::AnytimeOptions options;
-    options.budget = &budget;
-    core::solve_anytime(net, mst_bound(net), options);
-    return;
-  }
-  core::IraOptions options;
-  options.bound_mode = core::BoundMode::kDirect;
-  core::IterativeRelaxation(options).solve(net, mst_bound(net));
-}
-
-/// The --variant hook for the ira_* workloads: mrlc keeps the historical
-/// path above untouched; other variants solve the same instances through
-/// the variant front door (etx swaps in its conservative-feasible bound).
-void run_ira_variant(const wsn::Network& net, core::VariantId variant,
-                     std::int64_t budget_units) {
-  if (variant == core::VariantId::kMrlc) {
-    run_ira(net, budget_units);
-    return;
-  }
-  const double bound =
+/// One IRA repeat of `variant` at its bound (etx swaps in its
+/// conservative-feasible bound), in direct mode, optionally under a fresh
+/// anytime work budget (--budget).  With `budget_units == 0` no budget is
+/// attached, so `core::solve` runs exactly the engine work.
+void run_ira(const wsn::Network& net, core::VariantId variant,
+             std::int64_t budget_units) {
+  core::SolveRequest request;
+  request.variant = variant;
+  request.bound =
       variant == core::VariantId::kEtx ? etx_bound(net) : mst_bound(net);
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  Budget budget;
   if (budget_units > 0) {
-    Budget budget;
     budget.set_work_limit(budget_units);
-    core::AnytimeOptions options;
-    options.budget = &budget;
-    options.variant = variant;
-    core::solve_anytime(net, bound, options);
-    return;
+    request.ira.budget = &budget;
   }
-  core::solve_variant(variant, net, bound);
+  core::solve(net, request);
 }
 
 /// Solver-service throughput workload: 32 requests over 4 topologies with
@@ -202,7 +179,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
   out.push_back({"ira_dfl_n16", "IRA on the 16-node DFL testbed instance",
                  [budget_units, variant](int) {
                    const wsn::Network net = scenario::make_dfl_system().network;
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"ira_random_n16_p07",
@@ -210,7 +187,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [budget_units, variant](int repeat) {
                    const wsn::Network net = random_net(
                        16, 0.7, 1000 + static_cast<std::uint64_t>(repeat));
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"ira_random_n24_p04",
@@ -218,7 +195,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [budget_units, variant](int repeat) {
                    const wsn::Network net = random_net(
                        24, 0.4, 2000 + static_cast<std::uint64_t>(repeat));
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"ira_random_n48_p04",
@@ -227,7 +204,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [budget_units, variant](int repeat) {
                    const wsn::Network net = random_net(
                        48, 0.4, 5000 + static_cast<std::uint64_t>(repeat));
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"ira_random_n128_p015",
@@ -236,7 +213,7 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [budget_units, variant](int repeat) {
                    const wsn::Network net = random_net(
                        128, 0.15, 7000 + static_cast<std::uint64_t>(repeat));
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"ira_dfl_n32",
@@ -247,14 +224,15 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                    config.side_m = 7.2;  // 32 tripods at the default 0.9 m
                    const wsn::Network net =
                        scenario::make_dfl_system(config).network;
-                   run_ira_variant(net, variant, budget_units);
+                   run_ira(net, variant, budget_units);
                  }});
 
   out.push_back({"bb_random_n14", "exact branch-and-bound on G(14, 0.5)",
                  [](int repeat) {
                    const wsn::Network net = random_net(
                        14, 0.5, 3000 + static_cast<std::uint64_t>(repeat));
-                   core::branch_bound_mrlc(net, mst_bound(net), {});
+                   core::branch_bound_variant(core::VariantId::kMrlc, net,
+                                              mst_bound(net));
                  }});
 
   out.push_back({"etx_random_n48",
@@ -263,8 +241,10 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [](int repeat) {
                    const wsn::Network net = random_net(
                        48, 0.4, 8000 + static_cast<std::uint64_t>(repeat));
-                   core::solve_variant(core::VariantId::kEtx, net,
-                                       etx_bound(net));
+                   core::SolveRequest request;
+                   request.variant = core::VariantId::kEtx;
+                   request.bound = etx_bound(net);
+                   core::solve(net, request);
                  }});
 
   out.push_back({"minenergy_n32",
@@ -273,8 +253,10 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [](int repeat) {
                    const wsn::Network net = random_net(
                        32, 0.4, 9000 + static_cast<std::uint64_t>(repeat));
-                   core::solve_variant(core::VariantId::kMinEnergy, net,
-                                       mst_bound(net));
+                   core::SolveRequest request;
+                   request.variant = core::VariantId::kMinEnergy;
+                   request.bound = mst_bound(net);
+                   core::solve(net, request);
                  }});
 
   out.push_back({"dataplane_n16",
@@ -282,10 +264,10 @@ std::vector<Workload> make_workloads(std::int64_t budget_units,
                  [](int repeat) {
                    const wsn::Network net = scenario::make_dfl_system().network;
                    const double bound = mst_bound(net);
-                   core::IraOptions ira_options;
-                   ira_options.bound_mode = core::BoundMode::kDirect;
-                   const core::IraResult ira =
-                       core::IterativeRelaxation(ira_options).solve(net, bound);
+                   core::SolveRequest request;
+                   request.bound = bound;
+                   request.ira.bound_mode = core::BoundMode::kDirect;
+                   const core::SolveResult ira = core::solve(net, request);
                    dist::DataPlaneOptions options;
                    options.rounds = 200;
                    options.seed = 4000 + static_cast<std::uint64_t>(repeat);

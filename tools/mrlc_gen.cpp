@@ -29,7 +29,7 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "core/variant.hpp"
+#include "core/solve.hpp"
 #include "distributed/failure.hpp"
 #include "radio/arq.hpp"
 #include "scenario/dfl.hpp"
@@ -143,8 +143,13 @@ void emit_expected_cost(const std::map<std::string, std::string>& flags,
   const auto id = mrlc::core::variant_from_string(name);
   if (!id.has_value()) usage();
   const double bound = std::stod(bound_it->second);
-  const mrlc::core::VariantResult result =
-      mrlc::core::solve_variant(*id, net, bound);
+  mrlc::core::SolveRequest request;
+  request.variant = *id;
+  request.bound = bound;
+  const mrlc::core::SolveResult result = mrlc::core::solve(net, request);
+  if (result.status == mrlc::core::SolveStatus::kInfeasible) {
+    throw mrlc::InfeasibleError(result.message);
+  }
   std::cout << "# expected-cost variant=" << mrlc::core::to_string(*id)
             << " lifetime=" << bound << " objective=" << std::setprecision(10)
             << std::fixed << result.objective

@@ -4,7 +4,9 @@
 /// stderr, and writes the mrlc-tree file to stdout.
 ///
 /// Usage:
-///   mrlc_solve ira    --lifetime ROUNDS [--strict] < net.txt > tree.txt
+///   mrlc_solve auto   --lifetime ROUNDS [--certify] < net.txt > tree.txt
+///   mrlc_solve ira    --lifetime ROUNDS [--strict] [--certify]
+///                     [--variant NAME]             < net.txt > tree.txt
 ///   mrlc_solve greedy --lifetime ROUNDS            < net.txt > tree.txt
 ///   mrlc_solve mst                                  < net.txt > tree.txt
 ///   mrlc_solve aaml   [--lex]                       < net.txt > tree.txt
@@ -17,6 +19,8 @@
 ///                     [--attempts N] [--ack-fraction F] [--probe P]
 ///                     [--churn-sigma S] [--seed S]  < net.txt
 ///
+/// `auto` and `ira` build one `core::SolveRequest` (auto = bound mode
+/// kAuto, ira = direct, or strict with --strict) and exit with its status.
 /// `probe` brackets the maximum achievable lifetime instead of solving.
 /// `faults` replays the fault-schedule block appended by `mrlc_gen --faults`
 /// against the distributed maintainer and reports each repair outcome.
@@ -39,10 +43,8 @@
 #include "common/parallel.hpp"
 #include "baselines/greedy_mrlc.hpp"
 #include "baselines/mst_baseline.hpp"
-#include "core/anytime.hpp"
 #include "core/feasibility.hpp"
-#include "core/solver.hpp"
-#include "core/ira.hpp"
+#include "core/solve.hpp"
 #include "distributed/dataplane.hpp"
 #include "distributed/failure.hpp"
 #include "lp/simplex.hpp"
@@ -66,7 +68,7 @@ bool known_mode(const std::string& mode) {
 void print_usage(std::ostream& out) {
   out << "usage:\n"
          "  mrlc_solve auto   --lifetime ROUNDS [--certify] < net > tree\n"
-         "  mrlc_solve ira    --lifetime ROUNDS [--strict]\n"
+         "  mrlc_solve ira    --lifetime ROUNDS [--strict] [--certify]\n"
          "                    [--variant mrlc|etx|min_energy|max_lifetime]\n"
          "                    < net > tree\n"
          "  mrlc_solve greedy --lifetime ROUNDS             < net > tree\n"
@@ -113,7 +115,8 @@ void print_usage(std::ostream& out) {
          "                        (K = fire on the Kth arrival only;\n"
          "                        also via env MRLC_FAULTS)\n"
          "exit codes:\n"
-         "  0 solved   2 feasible, budget exhausted (incumbent printed)\n"
+         "  0 solved   2 incumbent printed: budget exhausted, or the\n"
+         "             cut loop stopped at its round cap\n"
          "  3 infeasible   4 bad usage or malformed input   5 internal\n";
 }
 
@@ -133,6 +136,23 @@ const char* status_name(mrlc::dist::RepairStatus status) {
   return "?";
 }
 
+/// The direct-bound mrlc tree the faults and dataplane modes start from.
+mrlc::wsn::AggregationTree initial_tree(const mrlc::wsn::Network& net,
+                                        double bound) {
+  using namespace mrlc;
+  core::SolveRequest request;
+  request.bound = bound;
+  request.ira.bound_mode = core::BoundMode::kDirect;
+  const core::SolveResult ira = core::solve(net, request);
+  if (ira.status == core::SolveStatus::kInfeasible) {
+    throw InfeasibleError(ira.message);
+  }
+  std::cerr << "initial tree: reliability " << ira.reliability << ", lifetime "
+            << ira.lifetime << " rounds, bound "
+            << (ira.meets_bound ? "met" : "VIOLATED") << '\n';
+  return ira.tree;
+}
+
 /// Replays a crash/depletion schedule through the message-level simulator.
 int replay_faults(mrlc::wsn::Network& net, const std::string& input,
                   std::map<std::string, std::string>& flags) {
@@ -148,12 +168,7 @@ int replay_faults(mrlc::wsn::Network& net, const std::string& input,
     return 4;
   }
 
-  core::IraOptions ira_options;
-  ira_options.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult ira = core::IterativeRelaxation(ira_options).solve(net, bound);
-  std::cerr << "initial tree: reliability " << wsn::tree_reliability(net, ira.tree)
-            << ", lifetime " << wsn::network_lifetime(net, ira.tree)
-            << " rounds, bound " << (ira.meets_bound ? "met" : "VIOLATED") << '\n';
+  const wsn::AggregationTree initial = initial_tree(net, bound);
 
   dist::MaintainerOptions maintainer_options;
   maintainer_options.allow_lc_relaxation = flags.count("relax") > 0;
@@ -161,7 +176,7 @@ int replay_faults(mrlc::wsn::Network& net, const std::string& input,
   flood.lossy = flags.count("lossy") > 0;
   if (flags.count("retx")) flood.control_retx = std::stoi(flags["retx"]);
   if (flags.count("seed")) flood.seed = std::stoull(flags["seed"]);
-  dist::ProtocolSimulator sim(net, ira.tree, bound, maintainer_options, flood);
+  dist::ProtocolSimulator sim(net, initial, bound, maintainer_options, flood);
 
   std::cout << "# fault replay: " << schedule.size() << " scheduled deaths, "
             << (flood.lossy ? "lossy" : "reliable") << " control floods\n";
@@ -271,14 +286,8 @@ int run_dataplane_cmd(const mrlc::wsn::Network& net, const std::string& input,
   options.channel.validate();
   options.estimator.validate();
 
-  core::IraOptions ira_options;
-  ira_options.bound_mode = core::BoundMode::kDirect;
-  const core::IraResult ira = core::IterativeRelaxation(ira_options).solve(net, bound);
-  std::cerr << "initial tree: reliability " << wsn::tree_reliability(net, ira.tree)
-            << ", lifetime " << wsn::network_lifetime(net, ira.tree)
-            << " rounds, bound " << (ira.meets_bound ? "met" : "VIOLATED") << '\n';
-
-  const dist::DataPlaneResult res = run_dataplane(net, ira.tree, bound, options);
+  const dist::DataPlaneResult res =
+      run_dataplane(net, initial_tree(net, bound), bound, options);
 
   const char* repair_name = options.repair == dist::RepairMode::kNone
                                 ? "none"
@@ -350,6 +359,78 @@ bool configure_budget(std::map<std::string, std::string>& flags,
   return armed;
 }
 
+/// ira and auto: the flags become one `core::SolveRequest`, solved by one
+/// `core::solve` call and reported once; the exit code is the status.  A
+/// flag the request cannot use is named on stderr, never dropped silently.
+int solve_cmd(const std::string& mode, const mrlc::wsn::Network& net,
+              std::map<std::string, std::string>& flags) {
+  using namespace mrlc;
+  core::SolveRequest request;
+  if (flags.count("variant")) {
+    const std::optional<core::VariantId> variant =
+        core::variant_from_string(flags["variant"]);
+    if (!variant.has_value()) {
+      std::cerr << "mrlc_solve: unknown variant '" << flags["variant"]
+                << "' (expected mrlc, etx, min_energy or max_lifetime)\n";
+      return 4;
+    }
+    request.variant = *variant;
+  }
+  if (!flags.count("lifetime")) usage();
+  request.bound = std::stod(flags["lifetime"]);
+  Budget budget;
+  if (configure_budget(flags, budget)) request.ira.budget = &budget;
+  request.ira.bound_mode =
+      mode == "auto"          ? core::BoundMode::kAuto
+      : flags.count("strict") ? core::BoundMode::kPaperStrict
+                              : core::BoundMode::kDirect;
+  request.certify = flags.count("certify") > 0;
+
+  const bool mrlc = request.variant == core::VariantId::kMrlc;
+  const std::string variant_name = core::to_string(request.variant);
+  auto note = [](const std::string& text) {
+    std::cerr << "mrlc_solve: note: " << text << '\n';
+  };
+  if (flags.count("strict")) {
+    if (request.ira.budget != nullptr) {
+      note("anytime solving always uses the direct relaxation; --strict is "
+           "ignored");
+    } else if (!mrlc) {
+      note("--strict applies to the mrlc variant only; ignored for " +
+           variant_name);
+    } else if (mode == "auto") {
+      note("auto tries the strict bound first by itself; --strict is ignored");
+    }
+  }
+  if (request.certify && !mrlc) {
+    note("--certify applies to the mrlc variant only; ignored for " +
+         variant_name);
+  }
+
+  const core::SolveResult res = core::solve(net, request);
+  std::cerr << mode << '[' << variant_name << ", "
+            << (res.bound_mode == core::BoundMode::kPaperStrict ? "strict"
+                                                                : "direct")
+            << "]: " << core::to_string(res.status) << ": " << res.message
+            << '\n';
+  if (res.status == core::SolveStatus::kInfeasible) return 3;
+  std::cerr << "objective " << res.objective << ", bound metric "
+            << res.bound_metric << " (bound " << request.bound << ": "
+            << (res.meets_bound ? "met" : "VIOLATED") << "), dual bound "
+            << res.dual_bound << ", certified gap " << res.gap;
+  if (res.exact_cost.has_value()) {
+    std::cerr << " (branch-and-bound optimum)";
+  }
+  if (request.ira.budget != nullptr) {
+    std::cerr << ", budget used " << budget.used() << " work units";
+  }
+  std::cerr << "\ncertificate: "
+            << core::problem_variant(request.variant).certificate() << '\n';
+  report(net, res.tree, mode);
+  wsn::write_tree(std::cout, res.tree);
+  return res.status == core::SolveStatus::kOptimal ? 0 : 2;
+}
+
 int run(const std::string& mode, std::map<std::string, std::string>& flags) {
   using namespace mrlc;
   try {
@@ -378,110 +459,18 @@ int run(const std::string& mode, std::map<std::string, std::string>& flags) {
       return 0;
     }
 
-    // An explicit --variant routes ira/auto through the problem-variant
-    // front door.  The flag-absent path below is the historical one,
-    // byte-for-byte; `--variant mrlc` must agree with it on stdout (the
-    // parity gate in scripts/ci.sh compares the two).
-    if (flags.count("variant") && (mode == "ira" || mode == "auto")) {
-      const std::optional<core::VariantId> variant =
-          core::variant_from_string(flags["variant"]);
-      if (!variant.has_value()) {
-        std::cerr << "mrlc_solve: unknown variant '" << flags["variant"]
-                  << "' (expected mrlc, etx, min_energy or max_lifetime)\n";
-        return 4;
-      }
-      if (!flags.count("lifetime")) usage();
-      const double bound = std::stod(flags["lifetime"]);
-      Budget budget;
-      if (configure_budget(flags, budget)) {
-        core::AnytimeOptions options;
-        options.budget = &budget;
-        options.variant = *variant;
-        const core::AnytimeResult res = core::solve_anytime(net, bound, options);
-        std::cerr << "anytime[" << core::to_string(*variant)
-                  << "]: " << core::to_string(res.status) << ": "
-                  << res.message << '\n';
-        if (res.status == core::AnytimeStatus::kInfeasible) return 3;
-        std::cerr << "objective " << res.objective << ", dual bound "
-                  << res.dual_bound << ", certified gap " << res.gap
-                  << ", budget used " << budget.used() << " work units\n";
-        report(net, res.tree, mode);
-        wsn::write_tree(std::cout, res.tree);
-        return res.status == core::AnytimeStatus::kOptimal ? 0 : 2;
-      }
-      core::IraOptions options;
-      options.bound_mode = flags.count("strict") ? core::BoundMode::kPaperStrict
-                                                 : core::BoundMode::kDirect;
-      const core::VariantResult res =
-          core::solve_variant(*variant, net, bound, options);
-      std::cerr << "variant " << core::to_string(res.variant) << ": objective "
-                << res.objective << ", bound metric " << res.bound_metric
-                << " (bound " << bound << ": "
-                << (res.meets_bound ? "met" : "VIOLATED") << ")\n";
-      if (*variant == core::VariantId::kMaxLifetime) {
-        std::cerr << "LP-certified lifetime upper bound: " << res.internal_bound
-                  << " rounds\n";
-      }
-      std::cerr << "certificate: "
-                << core::problem_variant(*variant).certificate() << '\n';
-      report(net, res.tree, mode);
-      wsn::write_tree(std::cout, res.tree);
-      return 0;
-    }
-
-    // With a budget or deadline the LP-tier modes run through the anytime
-    // layer: typed status, best incumbent on exhaustion, certified gap —
-    // and exit code 2 instead of an exception when the budget runs out.
-    Budget budget;
-    const bool has_budget = configure_budget(flags, budget);
-    if (has_budget && (mode == "ira" || mode == "auto")) {
-      if (!flags.count("lifetime")) usage();
-      if (flags.count("strict")) {
-        std::cerr << "mrlc_solve: note: anytime solving always uses the "
-                     "direct relaxation; --strict is ignored\n";
-      }
-      core::AnytimeOptions options;
-      options.budget = &budget;
-      const core::AnytimeResult res =
-          core::solve_anytime(net, std::stod(flags["lifetime"]), options);
-      std::cerr << "anytime: " << core::to_string(res.status) << ": "
-                << res.message << '\n';
-      if (res.status == core::AnytimeStatus::kInfeasible) return 3;
-      std::cerr << "dual bound " << res.dual_bound << " nats, certified gap "
-                << res.gap << " nats, budget used " << budget.used()
-                << " work units\n";
-      report(net, res.tree, mode);
-      wsn::write_tree(std::cout, res.tree);
-      return res.status == core::AnytimeStatus::kOptimal ? 0 : 2;
+    if (mode == "ira" || mode == "auto") {
+      return solve_cmd(mode, net, flags);
     }
 
     wsn::AggregationTree tree;
-    if (mode == "auto") {
-      if (!flags.count("lifetime")) usage();
-      core::SolverOptions options;
-      options.certify_with_exact = flags.count("certify") > 0;
-      const core::SolveReport rep =
-          core::MrlcSolver(options).solve(net, std::stod(flags["lifetime"]));
-      tree = rep.result.tree;
-      std::cerr << rep.narrative << '\n';
-    } else if (mode == "ira" || mode == "greedy") {
+    if (mode == "greedy") {
       if (!flags.count("lifetime")) usage();
       const double bound = std::stod(flags["lifetime"]);
-      if (mode == "ira") {
-        core::IraOptions options;
-        options.bound_mode = flags.count("strict") ? core::BoundMode::kPaperStrict
-                                                   : core::BoundMode::kDirect;
-        const core::IraResult res = core::IterativeRelaxation(options).solve(net, bound);
-        tree = res.tree;
-        std::cerr << "bound " << bound << ": "
-                  << (res.meets_bound ? "met" : "VIOLATED (within +2 children/node)")
-                  << '\n';
-      } else {
-        const baselines::GreedyMrlcResult res = baselines::greedy_mrlc(net, bound);
-        tree = res.tree;
-        std::cerr << "bound " << bound << ": " << (res.meets_bound ? "met" : "VIOLATED")
-                  << " (cap relaxations: " << res.cap_relaxations << ")\n";
-      }
+      const baselines::GreedyMrlcResult res = baselines::greedy_mrlc(net, bound);
+      tree = res.tree;
+      std::cerr << "bound " << bound << ": " << (res.meets_bound ? "met" : "VIOLATED")
+                << " (cap relaxations: " << res.cap_relaxations << ")\n";
     } else if (mode == "mst") {
       tree = baselines::mst_baseline(net).tree;
     } else if (mode == "aaml") {
@@ -501,9 +490,13 @@ int run(const std::string& mode, std::map<std::string, std::string>& flags) {
     std::cerr << "infeasible: " << e.what() << '\n';
     return 3;
   } catch (const BudgetExhaustedError& e) {
-    // Only reachable from paths that bypass the anytime layer (e.g. a
-    // budget on the dataplane's inner IRA); still a typed, documented exit.
+    // Only reachable from paths that bypass `core::solve`; still a typed,
+    // documented exit.
     std::cerr << "budget exhausted: " << e.what() << '\n';
+    return 2;
+  } catch (const NotConvergedError& e) {
+    // The probe mode's LP feasibility search hit the cut-round cap.
+    std::cerr << "not converged: " << e.what() << '\n';
     return 2;
   } catch (const std::invalid_argument& e) {
     // Malformed input files, bad flag values, broken preconditions.
